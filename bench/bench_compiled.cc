@@ -1,18 +1,20 @@
 // Compiled-predicate ablation backing BENCH_compiled.json: one Deriver
 // with a battery of mixed-shape DEFINE predicates (comparison chains,
-// AND/OR short-circuits, arithmetic, a duplicated predicate exercising
-// the program cache) driven over the same event stream three ways:
+// AND/OR chains, arithmetic, a duplicated predicate exercising the
+// program cache) driven over the same event stream, in the same chunks,
+// three ways:
 //
 //   deriver.interpreter            Expression::Eval per (event, definition)
-//   deriver.bytecode               BytecodeProgram::Run per (event, def)
 //   deriver.bytecode_batch         PushBatch-style: PrepareBatch()
 //                                  evaluates each distinct program
 //                                  columnarly over the whole chunk at the
 //                                  machine's best SIMD tier, Process()
 //                                  consumes precomputed selection bitmaps
-//   deriver.bytecode_batch_scalar  same, pinned to TPSTREAM_SIMD=off —
-//                                  isolates the SIMD kernels' contribution
-//                                  from the SoA/batch restructuring
+//   deriver.bytecode_batch_scalar  same, pinned to TPSTREAM_SIMD=off — the
+//                                  same executor on scalar-width kernels,
+//                                  isolating the vector width's
+//                                  contribution from the SoA/batch
+//                                  restructuring
 //
 // The workload is derivation-bound by construction — predicates flip
 // rarely, so situation/matcher work is negligible and events/sec measures
@@ -60,7 +62,7 @@ constexpr int kZone = 4;
 
 /// Sixteen predicates spanning the shapes the compiler lowers
 /// differently: single comparisons, comparison chains under AND/OR
-/// (short-circuit jumps), arithmetic subtrees (widening, division),
+/// (eager connectives), arithmetic subtrees (widening, division),
 /// unary negation, one exact duplicate (S0/S7) so the fingerprint-keyed
 /// program cache is on the measured path, and four derived-quantity
 /// predicates (S12-S15: energy, quadratic deviation, unit conversions)
@@ -187,13 +189,11 @@ struct RunResult {
   std::string simd_level = "off";
 };
 
-enum class Mode { kInterpreter, kBytecode, kBytecodeBatch };
-
-RunResult Run(const std::string& name, Mode mode,
+RunResult Run(const std::string& name, bool compiled,
               const std::vector<Event>& events, size_t batch_size,
               const std::string& simd) {
   DeriveOptions options;
-  options.compiled_predicates = mode != Mode::kInterpreter;
+  options.compiled_predicates = compiled;
   options.simd = simd;
   Deriver deriver(Definitions(), /*announce_starts=*/true,
                   /*metrics=*/nullptr, options);
@@ -201,24 +201,11 @@ RunResult Run(const std::string& name, Mode mode,
   int64_t situations = 0;
   uint64_t checksum = 0;
   const int64_t start = NowNs();
-  if (mode == Mode::kBytecodeBatch) {
-    for (size_t i = 0; i < events.size(); i += batch_size) {
-      const size_t n = std::min(batch_size, events.size() - i);
-      const std::span<const Event> chunk(events.data() + i, n);
-      deriver.PrepareBatch(chunk);
-      for (const Event& e : chunk) {
-        Deriver::Update& u = deriver.Process(e);
-        situations += static_cast<int64_t>(u.started.size() +
-                                           u.finished.size());
-        for (const SymbolSituation& f : u.finished) {
-          checksum = checksum * 1099511628211ull ^
-                     (static_cast<uint64_t>(f.symbol) * 131 +
-                      static_cast<uint64_t>(f.situation.ts));
-        }
-      }
-    }
-  } else {
-    for (const Event& e : events) {
+  for (size_t i = 0; i < events.size(); i += batch_size) {
+    const size_t n = std::min(batch_size, events.size() - i);
+    const std::span<const Event> chunk(events.data() + i, n);
+    deriver.PrepareBatch(chunk);  // a no-op for the interpreter
+    for (const Event& e : chunk) {
       Deriver::Update& u = deriver.Process(e);
       situations +=
           static_cast<int64_t>(u.started.size() + u.finished.size());
@@ -240,9 +227,7 @@ RunResult Run(const std::string& name, Mode mode,
   r.events_per_sec = static_cast<double>(events.size()) / r.elapsed_s;
   r.situations = situations;
   r.checksum = checksum;
-  // Per-tuple modes never touch the columnar kernels; only the batch
-  // mode reports the dispatched tier.
-  r.simd_level = mode == Mode::kBytecodeBatch ? deriver.simd_level() : "off";
+  r.simd_level = deriver.simd_level();  // "off" for the interpreter
   return r;
 }
 
@@ -292,11 +277,11 @@ int Main(int argc, char** argv) {
 
   // Best-of-N to shed scheduler noise on shared CI machines; the
   // situation checksum must be identical across every run and mode.
-  auto best_of = [&](const std::string& name, Mode mode,
+  auto best_of = [&](const std::string& name, bool compiled,
                      const std::string& simd) {
     RunResult best;
     for (int i = 0; i < repeats; ++i) {
-      RunResult r = Run(name, mode, events, batch, simd);
+      RunResult r = Run(name, compiled, events, batch, simd);
       if (i == 0 || r.events_per_sec > best.events_per_sec) {
         best = std::move(r);
       }
@@ -305,12 +290,11 @@ int Main(int argc, char** argv) {
   };
 
   std::vector<RunResult> runs;
-  runs.push_back(best_of("deriver.interpreter", Mode::kInterpreter, ""));
-  runs.push_back(best_of("deriver.bytecode", Mode::kBytecode, ""));
+  runs.push_back(best_of("deriver.interpreter", /*compiled=*/false, ""));
   runs.push_back(
-      best_of("deriver.bytecode_batch", Mode::kBytecodeBatch, "native"));
-  runs.push_back(best_of("deriver.bytecode_batch_scalar",
-                         Mode::kBytecodeBatch, "off"));
+      best_of("deriver.bytecode_batch", /*compiled=*/true, "native"));
+  runs.push_back(
+      best_of("deriver.bytecode_batch_scalar", /*compiled=*/true, "off"));
 
   for (const RunResult& r : runs) {
     if (r.situations != runs[0].situations ||

@@ -60,7 +60,7 @@
 # (default 500% = 5x; the unshared side may be extrapolated from N = 100,
 # which the bench document marks with "extrapolated": true).
 #
-# Compiled checks (runs: deriver.{interpreter,bytecode,bytecode_batch,
+# Compiled checks (runs: deriver.{interpreter,bytecode_batch,
 # bytecode_batch_scalar}; v2 adds a per-run "simd_level" and a top-level
 # "cpus"):
 #   * events_per_sec >= baseline * (1 - THROUGHPUT_TOLERANCE_PCT%)

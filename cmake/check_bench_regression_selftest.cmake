@@ -135,14 +135,13 @@ write_doc("${WORK_DIR}/slow_p99.json" 100000.0 630.2 1 26000)
 run_case("pause-p99-gates" "${WORK_DIR}/slow_p99.json"
          "${WORK_DIR}/base.json" fail)
 
-# Writes a four-run tpstream-bench-compiled-v2 document where the batch
+# Writes a three-run tpstream-bench-compiled-v2 document where the batch
 # mode runs at `batch_eps` with SIMD tier `simd` over a 1000000 evt/s
 # interpreter.
 function(write_compiled_doc path batch_eps simd)
   set(runs "")
   foreach(spec
           "deriver.interpreter;1000000.0;off"
-          "deriver.bytecode;1500000.0;off"
           "deriver.bytecode_batch;${batch_eps};${simd}"
           "deriver.bytecode_batch_scalar;2500000.0;off")
     list(GET spec 0 rname)

@@ -40,9 +40,10 @@ class TPStreamOperator {
     double reopt_threshold = 0.2;
     int reopt_interval = 64;
     /// Compile DEFINE predicates to register bytecode and evaluate them
-    /// columnarly over PushBatch() spans (expr/bytecode.h). Off by
-    /// default — the expression interpreter remains the semantic oracle;
-    /// outputs are identical either way (differentially tested).
+    /// columnarly over PushBatch() spans (expr/bytecode.h). Single
+    /// events (Push) always use the expression interpreter, which
+    /// remains the semantic oracle. Off by default; outputs are
+    /// identical either way (differentially tested).
     bool compiled_predicates = false;
     /// SIMD tier for columnar predicate evaluation ("off", "sse2",
     /// "avx2", "native"); empty defers to TPSTREAM_SIMD, then the

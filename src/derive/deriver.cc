@@ -72,17 +72,14 @@ void Deriver::CompilePredicates() {
   batch_fields_.erase(
       std::unique(batch_fields_.begin(), batch_fields_.end()),
       batch_fields_.end());
-  all_defs_compiled_ =
+  sparse_masks_ok_ =
+      !defs_.empty() && defs_.size() <= 64 && programs_.size() <= 64 &&
       std::find(program_of_def_.begin(), program_of_def_.end(), -1) ==
-      program_of_def_.end();
+          program_of_def_.end();
   def_mask_of_prog_.assign(programs_.size(), 0);
-  sparse_masks_ok_ = all_defs_compiled_ && !defs_.empty() &&
-                     defs_.size() <= 64 && programs_.size() <= 64;
-  if (defs_.size() <= 64 && programs_.size() <= 64) {
+  if (sparse_masks_ok_) {
     for (size_t i = 0; i < defs_.size(); ++i) {
-      if (program_of_def_[i] >= 0) {
-        def_mask_of_prog_[program_of_def_[i]] |= uint64_t{1} << i;
-      }
+      def_mask_of_prog_[program_of_def_[i]] |= uint64_t{1} << i;
     }
   }
 }
@@ -139,30 +136,20 @@ void Deriver::PrepareBatch(std::span<const Event> events) {
       uint64_t* out = batch_row_mask_.data() + w * 64;
       for (int r = 0; r < 64; ++r) out[r] = blk[63 - r];
     }
-  } else {
-    // OR-union across programs: the word-skip fast path reads this
-    // bitmap only, one bit per event, regardless of how many
-    // definitions there are.
-    batch_any_.assign(batch_words_, 0);
-    for (size_t p = 0; p < programs_.size(); ++p) {
-      const uint64_t* bits = batch_bits_.data() + p * batch_words_;
-      for (size_t w = 0; w < batch_words_; ++w) batch_any_[w] |= bits[w];
-    }
   }
   batch_base_ = events.data();
   batch_cursor_ = 0;
 }
 
-bool Deriver::EvalCompiled(int def, const Event& event) {
+bool Deriver::EvalCompiled(int def, const Event& event) const {
   const int p = program_of_def_[def];
-  if (p < 0) return EvalPredicate(*defs_[def].predicate, event.payload);
-  if (batch_base_ != nullptr) {
-    return (batch_bits_[static_cast<size_t>(p) * batch_words_ +
-                        (batch_cursor_ >> 6)] >>
-                (batch_cursor_ & 63) &
-            1) != 0;
+  if (p < 0 || batch_base_ == nullptr) {
+    return EvalPredicate(*defs_[def].predicate, event.payload);
   }
-  return programs_[p]->RunPredicate(event.payload, &exec_scratch_);
+  return (batch_bits_[static_cast<size_t>(p) * batch_words_ +
+                      (batch_cursor_ >> 6)] >>
+              (batch_cursor_ & 63) &
+          1) != 0;
 }
 
 void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
@@ -174,7 +161,6 @@ void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
       slot.announced = false;
       slot.ts = event.t;
       slot.aggs.Init(event.payload);
-      ++active_slots_;
       if (i < 64) active_mask_ |= uint64_t{1} << i;
       if (opened_ctr_ != nullptr) opened_ctr_->Inc();
     } else {
@@ -201,7 +187,6 @@ void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
     }
     slot.active = false;
     slot.announced = false;
-    --active_slots_;
     if (i < 64) active_mask_ &= ~(uint64_t{1} << i);
   }
 }
@@ -218,7 +203,7 @@ Deriver::Update& Deriver::Process(const Event& event) {
   if (compiled && batch_base_ != nullptr &&
       (batch_cursor_ >= batch_n_ || &event != batch_base_ + batch_cursor_)) {
     // The caller deviated from the announced batch (or consumed it);
-    // drop the precomputed rows and evaluate per tuple.
+    // drop the precomputed rows and evaluate with the interpreter.
     batch_base_ = nullptr;
   }
 
@@ -245,18 +230,6 @@ Deriver::Update& Deriver::Process(const Event& event) {
     return update_;
   }
 
-  // Word-skip fast path for configurations the sparse masks can't
-  // cover (>64 definitions or programs): with no situation open and
-  // every predicate precomputed, an event whose bit is clear in the
-  // OR-union bitmap can neither open, extend, nor finish anything —
-  // the whole definition loop is a no-op.
-  if (compiled && batch_base_ != nullptr && active_slots_ == 0 &&
-      all_defs_compiled_ &&
-      (batch_any_[batch_cursor_ >> 6] >> (batch_cursor_ & 63) & 1) == 0) {
-    ++batch_cursor_;
-    return update_;
-  }
-
   for (int i = 0; i < static_cast<int>(defs_.size()); ++i) {
     ApplyDef(i, event,
              compiled ? EvalCompiled(i, event)
@@ -278,7 +251,6 @@ void Deriver::Reset() {
   batch_n_ = 0;
   batch_words_ = 0;
   batch_cursor_ = 0;
-  active_slots_ = 0;
   active_mask_ = 0;
 }
 
@@ -315,13 +287,9 @@ Status Deriver::Restore(ckpt::Reader& r) {
   batch_n_ = 0;
   batch_words_ = 0;
   batch_cursor_ = 0;
-  active_slots_ = 0;
   active_mask_ = 0;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].active) {
-      ++active_slots_;
-      if (i < 64) active_mask_ |= uint64_t{1} << i;
-    }
+  for (size_t i = 0; i < slots_.size() && i < 64; ++i) {
+    if (slots_[i].active) active_mask_ |= uint64_t{1} << i;
   }
   return r.EndSection(end);
 }

@@ -19,12 +19,13 @@ namespace tpstream {
 
 /// Tuning knobs for the deriver's predicate-evaluation stage.
 struct DeriveOptions {
-  /// Compile DEFINE predicates to flat register bytecode (expr/bytecode.h)
-  /// instead of interpreting the Expression tree per event, and evaluate
-  /// them columnarly over event batches when the caller announces one via
-  /// PrepareBatch(). Off by default: the tree interpreter remains the
-  /// semantic oracle (the two are differentially fuzzed against each
-  /// other; see docs/architecture.md, "Compiled predicate path").
+  /// Compile DEFINE predicates to branch-free register bytecode
+  /// (expr/bytecode.h) and evaluate them columnarly over the event
+  /// batches a caller announces via PrepareBatch(). Single events —
+  /// Process() without an announced batch, or a batch walked out of
+  /// order — always use the tree interpreter, which stays the semantic
+  /// oracle (the two are differentially fuzzed against each other; see
+  /// docs/architecture.md, "Compiled predicate path"). Off by default.
   /// Observable behaviour — situations, counters, metrics — is identical
   /// either way; a predicate that fails to compile silently keeps the
   /// interpreter.
@@ -88,9 +89,9 @@ class Deriver {
   /// the referenced field columns hot in cache — and Process() then
   /// consumes the precomputed rows. A no-op in interpreter mode, and
   /// never required for correctness: if the caller pushes different
-  /// events instead, Process() detects the mismatch and falls back to
-  /// per-tuple evaluation. `events` must stay alive and unmodified until
-  /// the batch is consumed.
+  /// events instead, Process() detects the mismatch and evaluates with
+  /// the interpreter. `events` must stay alive and unmodified until the
+  /// batch is consumed.
   void PrepareBatch(std::span<const Event> events);
 
   /// True if `symbol` has an announced, still ongoing situation.
@@ -157,7 +158,7 @@ class Deriver {
   };
 
   void CompilePredicates();
-  bool EvalCompiled(int def, const Event& event);
+  bool EvalCompiled(int def, const Event& event) const;
   void ApplyDef(int i, const Event& event, bool satisfied);
 
   std::vector<SituationDefinition> defs_;
@@ -179,25 +180,13 @@ class Deriver {
   // Prepared-batch state, valid while the caller walks the announced
   // span in order (checked by address). Predicate results are selection
   // bitmaps: bit `row % 64` of batch_bits_[prog * batch_words_ + row/64]
-  // is prog's predicate over batch event `row`. batch_any_ is the OR of
-  // all program bitmaps — a zero word there means no definition can open
-  // or extend a situation across those 64 events, which Process() uses
-  // to skip the whole per-definition loop when nothing is active.
+  // is prog's predicate over batch event `row`.
   ColumnarBatch batch_;
   std::vector<uint64_t> batch_bits_;
-  std::vector<uint64_t> batch_any_;
   const Event* batch_base_ = nullptr;
   size_t batch_n_ = 0;
   size_t batch_words_ = 0;
   size_t batch_cursor_ = 0;
-
-  // True when every definition's predicate compiled (no interpreter
-  // fallbacks), so a zero batch_any_ bit covers all of them.
-  bool all_defs_compiled_ = false;
-  // Open slots (slot.active) across definitions, maintained on every
-  // open/close; the skip fast path requires it to be zero because a
-  // non-satisfying event must still finish an active situation.
-  int active_slots_ = 0;
 
   // Sparse definition-loop state, live when every predicate compiled
   // and both counts fit in one word (sparse_masks_ok_). PrepareBatch
@@ -207,7 +196,8 @@ class Deriver {
   // program p, and active_mask_ mirrors slot.active for definitions
   // < 64. Process() then walks only the set bits of
   // (satisfied | active): a clear bit is a definition that can neither
-  // open, extend, nor close a situation on this event.
+  // open, extend, nor close a situation on this event. Other
+  // configurations run the dense loop over batch_bits_.
   std::vector<uint64_t> batch_row_mask_;
   std::vector<uint64_t> def_mask_of_prog_;
   uint64_t active_mask_ = 0;

@@ -83,22 +83,6 @@ inline RegSlot SlotFromValue(const Value& v) {
   return s;
 }
 
-inline Value SlotToValue(const RegSlot& s) {
-  switch (s.type) {
-    case ValueType::kInt:
-      return Value(s.v.i);
-    case ValueType::kDouble:
-      return Value(s.v.d);
-    case ValueType::kBool:
-      return Value(s.v.b);
-    case ValueType::kString:
-      return Value(*s.v.s);
-    case ValueType::kNull:
-      break;
-  }
-  return Value::Null();
-}
-
 inline RegSlot LoadTupleField(const Tuple& tuple, int field) {
   if (field >= static_cast<int>(tuple.size())) return RegSlot{};
   return SlotFromValue(tuple[field]);
@@ -175,53 +159,58 @@ inline OpCode FusedCmpBase(OpCode op) {
                               static_cast<int>(OpCode::kCmpEqFC)));
 }
 
-/// Strided comparison loop for the columnar executor: the opcode switch
-/// runs once per batch (selecting `pred`), not once per row. Stride 0
-/// broadcasts a scalar (a fused constant, or a null for an absent
-/// column).
-template <typename Pred>
-inline void CmpLoop(const RegSlot* a, size_t a_stride, const RegSlot* b,
-                    size_t b_stride, RegSlot* d, size_t rows, Pred pred) {
-  for (size_t r = 0; r < rows; ++r) {
-    const int c = SlotCompare(a[r * a_stride], b[r * b_stride]);
-    d[r] = c == Value::kIncomparable ? RegSlot{} : BoolSlot(pred(c));
-  }
+inline bool IsFusedCmp(OpCode op) {
+  return op >= OpCode::kCmpEqFC && op <= OpCode::kCmpGeFC;
 }
 
-inline void CmpColumns(OpCode base, const RegSlot* a, size_t a_stride,
-                       const RegSlot* b, size_t b_stride, RegSlot* d,
-                       size_t rows) {
-  switch (base) {
+/// One computing opcode over single operands: the semantics every
+/// columnar kernel must reproduce, used for splat registers and for the
+/// mixed-type row fallback. Fused comparisons take the field cell as `a`
+/// and the constant as `b`; unary opcodes ignore `b`.
+RegSlot ScalarOp(OpCode op, const RegSlot& a, const RegSlot& b) {
+  switch (op) {
+    case OpCode::kAdd:
+      return NumericSlotOp(a, b, WrapAdd,
+                           [](double x, double y) { return x + y; });
+    case OpCode::kSub:
+      return NumericSlotOp(a, b, WrapSub,
+                           [](double x, double y) { return x - y; });
+    case OpCode::kMul:
+      return NumericSlotOp(a, b, WrapMul,
+                           [](double x, double y) { return x * y; });
+    case OpCode::kDiv:
+      return SlotDiv(a, b);
     case OpCode::kCmpEq:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c == 0; });
-      break;
     case OpCode::kCmpNe:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c != 0; });
-      break;
     case OpCode::kCmpLt:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c < 0; });
-      break;
     case OpCode::kCmpLe:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c <= 0; });
-      break;
     case OpCode::kCmpGt:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c > 0; });
-      break;
-    default:  // kCmpGe
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c >= 0; });
-      break;
+    case OpCode::kCmpGe:
+      return SlotCmp(op, a, b);
+    case OpCode::kCmpEqFC:
+    case OpCode::kCmpNeFC:
+    case OpCode::kCmpLtFC:
+    case OpCode::kCmpLeFC:
+    case OpCode::kCmpGtFC:
+    case OpCode::kCmpGeFC:
+      return SlotCmp(FusedCmpBase(op), a, b);
+    case OpCode::kNot:
+      return BoolSlot(!SlotTruthy(a));
+    case OpCode::kNeg:
+      if (a.type == ValueType::kInt) return IntSlot(WrapNeg(a.v.i));
+      if (a.type == ValueType::kDouble) return DoubleSlot(-a.v.d);
+      return RegSlot{};
+    case OpCode::kAndEager:
+      return BoolSlot(SlotTruthy(a) && SlotTruthy(b));
+    case OpCode::kOrEager:
+      return BoolSlot(SlotTruthy(a) || SlotTruthy(b));
+    case OpCode::kLoadConst:
+    case OpCode::kLoadField:
+    case OpCode::kRet:
+      break;  // handled by the executor itself
   }
+  return RegSlot{};
 }
-
-// --- Type-specialized columnar kernels ----------------------------------
-// Selected when a column's ColClass proves every slot shares a type; each
-// kernel is elementwise-exact, so class tracking can be conservative.
 
 inline ColClass ClassOfType(ValueType t) {
   switch (t) {
@@ -233,116 +222,6 @@ inline ColClass ClassOfType(ValueType t) {
       return ColClass::kBool;
     default:
       return ColClass::kMixed;
-  }
-}
-
-/// Instantiates `f` with the relational predicate `base` stands for, as a
-/// generic lambda — int64 pairs compare in the integer domain, widened
-/// pairs as doubles, exactly like SlotCompare's two numeric branches.
-template <typename F>
-inline void WithCmpPred(OpCode base, F f) {
-  switch (base) {
-    case OpCode::kCmpEq:
-      f([](auto x, auto y) { return x == y; });
-      break;
-    case OpCode::kCmpNe:
-      f([](auto x, auto y) { return x != y; });
-      break;
-    case OpCode::kCmpLt:
-      f([](auto x, auto y) { return x < y; });
-      break;
-    case OpCode::kCmpLe:
-      f([](auto x, auto y) { return x <= y; });
-      break;
-    case OpCode::kCmpGt:
-      f([](auto x, auto y) { return x > y; });
-      break;
-    default:  // kCmpGe
-      f([](auto x, auto y) { return x >= y; });
-      break;
-  }
-}
-
-template <typename Pred>
-inline void CmpLoopII(const RegSlot* a, const RegSlot* b, size_t bs,
-                      RegSlot* d, size_t rows, Pred pred) {
-  for (size_t r = 0; r < rows; ++r) {
-    d[r] = BoolSlot(pred(a[r].v.i, b[r * bs].v.i));
-  }
-}
-
-/// Widened numeric comparison; the NaN guard reproduces SlotCompare's
-/// incomparable (null) result bit-for-bit. The `*_int` flags are
-/// loop-invariant, so the conversions hoist.
-template <typename Pred>
-inline void CmpLoopNumeric(const RegSlot* a, bool a_int, const RegSlot* b,
-                           size_t bs, bool b_int, RegSlot* d, size_t rows,
-                           Pred pred) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double x = a_int ? static_cast<double>(a[r].v.i) : a[r].v.d;
-    const double y =
-        b_int ? static_cast<double>(b[r * bs].v.i) : b[r * bs].v.d;
-    d[r] = (x != x || y != y) ? RegSlot{} : BoolSlot(pred(x, y));
-  }
-}
-
-template <typename Pred>
-inline void CmpLoopBB(const RegSlot* a, const RegSlot* b, size_t bs,
-                      RegSlot* d, size_t rows, Pred pred) {
-  for (size_t r = 0; r < rows; ++r) {
-    // SlotCompare on two bools is (a?1:0) - (b?1:0); eq/ne reduce to the
-    // direct bool comparison.
-    d[r] = BoolSlot(pred(a[r].v.b ? 1 : 0, b[r * bs].v.b ? 1 : 0));
-  }
-}
-
-/// Fast comparison over typed columns. Returns false when no specialized
-/// kernel applies (caller falls back to the generic loop); on success
-/// *result_class is the uniformity class of `d` (kBool when no row can
-/// be null — int/int and bool eq/ne — else kMixed, since widened NaN
-/// rows produce nulls).
-inline bool CmpColumnsFast(OpCode base, const RegSlot* a, ColClass ac,
-                           const RegSlot* b, size_t bs, ColClass bc,
-                           RegSlot* d, size_t rows,
-                           ColClass* result_class) {
-  if (ac == ColClass::kBool && bc == ColClass::kBool &&
-      (base == OpCode::kCmpEq || base == OpCode::kCmpNe)) {
-    if (base == OpCode::kCmpEq) {
-      CmpLoopBB(a, b, bs, d, rows, [](int x, int y) { return x == y; });
-    } else {
-      CmpLoopBB(a, b, bs, d, rows, [](int x, int y) { return x != y; });
-    }
-    *result_class = ColClass::kBool;
-    return true;
-  }
-  const bool a_num = ac == ColClass::kInt || ac == ColClass::kDouble;
-  const bool b_num = bc == ColClass::kInt || bc == ColClass::kDouble;
-  if (!a_num || !b_num) return false;
-  if (ac == ColClass::kInt && bc == ColClass::kInt) {
-    WithCmpPred(base,
-                [&](auto pred) { CmpLoopII(a, b, bs, d, rows, pred); });
-    *result_class = ColClass::kBool;
-  } else {
-    WithCmpPred(base, [&](auto pred) {
-      CmpLoopNumeric(a, ac == ColClass::kInt, b, bs, bc == ColClass::kInt,
-                     d, rows, pred);
-    });
-    *result_class = ColClass::kMixed;
-  }
-  return true;
-}
-
-/// Widening add/sub/mul over numeric columns (at least one double):
-/// always produces doubles, NaN/inf propagating exactly as the scalar
-/// double op does.
-template <typename DoubleOp>
-inline void ArithWidenLoop(const RegSlot* a, bool a_int, const RegSlot* b,
-                           bool b_int, RegSlot* d, size_t rows,
-                           DoubleOp op) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double x = a_int ? static_cast<double>(a[r].v.i) : a[r].v.d;
-    const double y = b_int ? static_cast<double>(b[r].v.i) : b[r].v.d;
-    d[r] = DoubleSlot(op(x, y));
   }
 }
 
@@ -374,18 +253,10 @@ const char* OpCodeName(OpCode op) {
       return "cmp_gt";
     case OpCode::kCmpGe:
       return "cmp_ge";
-    case OpCode::kTruthy:
-      return "truthy";
     case OpCode::kNot:
       return "not";
     case OpCode::kNeg:
       return "neg";
-    case OpCode::kJump:
-      return "jump";
-    case OpCode::kJumpIfFalsy:
-      return "jump_if_falsy";
-    case OpCode::kJumpIfTruthy:
-      return "jump_if_truthy";
     case OpCode::kRet:
       return "ret";
     case OpCode::kCmpEqFC:
@@ -463,436 +334,40 @@ void ColumnarBatch::Assign(std::span<const Event> events,
   }
 }
 
-// --- Execution ----------------------------------------------------------
-
-template <typename FieldLoader>
-RegSlot BytecodeProgram::Exec(ExecScratch* scratch,
-                              const FieldLoader& load) const {
-  if (static_cast<int>(scratch->regs.size()) < num_regs_) {
-    scratch->regs.resize(num_regs_);
-  }
-  RegSlot* regs = scratch->regs.data();
-  const Instr* code = code_.data();
-  const RegSlot* consts = const_slots_.data();
-  size_t pc = 0;
-  for (;;) {
-    const Instr in = code[pc];
-    switch (in.op) {
-      case OpCode::kLoadConst:
-        regs[in.dst] = consts[in.a];
-        break;
-      case OpCode::kLoadField:
-        regs[in.dst] = load(in.a);
-        break;
-      case OpCode::kAdd:
-        regs[in.dst] = NumericSlotOp(
-            regs[in.a], regs[in.b], WrapAdd,
-            [](double x, double y) { return x + y; });
-        break;
-      case OpCode::kSub:
-        regs[in.dst] = NumericSlotOp(
-            regs[in.a], regs[in.b], WrapSub,
-            [](double x, double y) { return x - y; });
-        break;
-      case OpCode::kMul:
-        regs[in.dst] = NumericSlotOp(
-            regs[in.a], regs[in.b], WrapMul,
-            [](double x, double y) { return x * y; });
-        break;
-      case OpCode::kDiv:
-        regs[in.dst] = SlotDiv(regs[in.a], regs[in.b]);
-        break;
-      case OpCode::kCmpEq:
-      case OpCode::kCmpNe:
-      case OpCode::kCmpLt:
-      case OpCode::kCmpLe:
-      case OpCode::kCmpGt:
-      case OpCode::kCmpGe:
-        regs[in.dst] = SlotCmp(in.op, regs[in.a], regs[in.b]);
-        break;
-      case OpCode::kCmpEqFC:
-      case OpCode::kCmpNeFC:
-      case OpCode::kCmpLtFC:
-      case OpCode::kCmpLeFC:
-      case OpCode::kCmpGtFC:
-      case OpCode::kCmpGeFC:
-        regs[in.dst] = SlotCmp(FusedCmpBase(in.op), load(in.a), consts[in.b]);
-        break;
-      case OpCode::kAndEager:
-        regs[in.dst] =
-            BoolSlot(SlotTruthy(regs[in.a]) && SlotTruthy(regs[in.b]));
-        break;
-      case OpCode::kOrEager:
-        regs[in.dst] =
-            BoolSlot(SlotTruthy(regs[in.a]) || SlotTruthy(regs[in.b]));
-        break;
-      case OpCode::kTruthy:
-        regs[in.dst] = BoolSlot(SlotTruthy(regs[in.a]));
-        break;
-      case OpCode::kNot:
-        regs[in.dst] = BoolSlot(!SlotTruthy(regs[in.a]));
-        break;
-      case OpCode::kNeg: {
-        const RegSlot& src = regs[in.a];
-        if (src.type == ValueType::kInt) {
-          regs[in.dst] = IntSlot(WrapNeg(src.v.i));
-        } else if (src.type == ValueType::kDouble) {
-          regs[in.dst] = DoubleSlot(-src.v.d);
-        } else {
-          regs[in.dst] = RegSlot{};
-        }
-        break;
-      }
-      case OpCode::kJump:
-        pc = in.b;
-        continue;
-      case OpCode::kJumpIfFalsy:
-        if (!SlotTruthy(regs[in.a])) {
-          pc = in.b;
-          continue;
-        }
-        break;
-      case OpCode::kJumpIfTruthy:
-        if (SlotTruthy(regs[in.a])) {
-          pc = in.b;
-          continue;
-        }
-        break;
-      case OpCode::kRet:
-        return regs[in.a];
-    }
-    ++pc;
-  }
-}
-
-Value BytecodeProgram::Run(const Tuple& tuple, ExecScratch* scratch) const {
-  return SlotToValue(
-      Exec(scratch, [&](int f) { return LoadTupleField(tuple, f); }));
-}
-
-Value BytecodeProgram::Run(const Tuple& tuple) const {
-  ExecScratch scratch;
-  return Run(tuple, &scratch);
-}
-
-bool BytecodeProgram::RunPredicate(const Tuple& tuple,
-                                   ExecScratch* scratch) const {
-  return SlotTruthy(
-      Exec(scratch, [&](int f) { return LoadTupleField(tuple, f); }));
-}
-
-bool BytecodeProgram::RunPredicate(const Tuple& tuple) const {
-  ExecScratch scratch;
-  return RunPredicate(tuple, &scratch);
-}
+// --- Columnar executor --------------------------------------------------
 
 namespace {
 
-/// One non-control-flow instruction of the flat stream over the AoS
-/// (RegSlot-column) register file. This is the scalar columnar
-/// executor's body, and doubles as the SoA executor's per-instruction
-/// fallback for mixed-typed registers — shared so the two paths cannot
-/// drift semantically.
+/// The mixed-type fallback: one instruction, row by row, over the AoS
+/// (RegSlot-column) register file — register r is the slice
+/// [r * rows, (r + 1) * rows). Never sees loads or kRet.
 void ExecColumnInstr(const Instr& in, const ColumnarBatch& batch,
-                     const RegSlot* consts, RegSlot* regs, ColClass* rc,
-                     size_t rows) {
-  const RegSlot null_slot{};
+                     const RegSlot* consts, RegSlot* regs, size_t rows) {
+  static const RegSlot kNullSlot{};
   RegSlot* const d = regs + static_cast<size_t>(in.dst) * rows;
-  {
-    switch (in.op) {
-      case OpCode::kLoadConst: {
-        const RegSlot k = consts[in.a];
-        std::fill(d, d + rows, k);
-        rc[in.dst] = ClassOfType(k.type);
-        break;
-      }
-      case OpCode::kLoadField: {
-        const RegSlot* src = batch.ColumnPtr(in.a);
-        if (src != nullptr) {
-          std::copy(src, src + rows, d);
-          rc[in.dst] = batch.ColumnClass(in.a);
-        } else {
-          std::fill(d, d + rows, null_slot);
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kAdd:
-      case OpCode::kSub:
-      case OpCode::kMul: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        const ColClass ac = rc[in.a];
-        const ColClass bc = rc[in.b];
-        if (ac == ColClass::kInt && bc == ColClass::kInt) {
-          if (in.op == OpCode::kAdd) {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = IntSlot(WrapAdd(a[r].v.i, b[r].v.i));
-            }
-          } else if (in.op == OpCode::kSub) {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = IntSlot(WrapSub(a[r].v.i, b[r].v.i));
-            }
-          } else {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = IntSlot(WrapMul(a[r].v.i, b[r].v.i));
-            }
-          }
-          rc[in.dst] = ColClass::kInt;
-        } else if ((ac == ColClass::kInt || ac == ColClass::kDouble) &&
-                   (bc == ColClass::kInt || bc == ColClass::kDouble)) {
-          const bool ai = ac == ColClass::kInt;
-          const bool bi = bc == ColClass::kInt;
-          if (in.op == OpCode::kAdd) {
-            ArithWidenLoop(a, ai, b, bi, d, rows,
-                           [](double x, double y) { return x + y; });
-          } else if (in.op == OpCode::kSub) {
-            ArithWidenLoop(a, ai, b, bi, d, rows,
-                           [](double x, double y) { return x - y; });
-          } else {
-            ArithWidenLoop(a, ai, b, bi, d, rows,
-                           [](double x, double y) { return x * y; });
-          }
-          rc[in.dst] = ColClass::kDouble;
-        } else {
-          if (in.op == OpCode::kAdd) {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = NumericSlotOp(a[r], b[r], WrapAdd,
-                                   [](double x, double y) { return x + y; });
-            }
-          } else if (in.op == OpCode::kSub) {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = NumericSlotOp(a[r], b[r], WrapSub,
-                                   [](double x, double y) { return x - y; });
-            }
-          } else {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = NumericSlotOp(a[r], b[r], WrapMul,
-                                   [](double x, double y) { return x * y; });
-            }
-          }
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kDiv: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        if (rc[in.a] == ColClass::kDouble && rc[in.b] == ColClass::kDouble) {
-          bool saw_zero = false;
-          for (size_t r = 0; r < rows; ++r) {
-            const double y = b[r].v.d;
-            saw_zero |= y == 0.0;
-            d[r] = y == 0.0 ? RegSlot{} : DoubleSlot(a[r].v.d / y);
-          }
-          rc[in.dst] = saw_zero ? ColClass::kMixed : ColClass::kDouble;
-        } else {
-          for (size_t r = 0; r < rows; ++r) d[r] = SlotDiv(a[r], b[r]);
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kCmpEq:
-      case OpCode::kCmpNe:
-      case OpCode::kCmpLt:
-      case OpCode::kCmpLe:
-      case OpCode::kCmpGt:
-      case OpCode::kCmpGe: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        const ColClass ac = rc[in.a];
-        const ColClass bc = rc[in.b];
-        if (ColClass cls; CmpColumnsFast(in.op, a, ac, b, 1, bc, d, rows,
-                                         &cls)) {
-          rc[in.dst] = cls;
-        } else {
-          CmpColumns(in.op, a, 1, b, 1, d, rows);
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kCmpEqFC:
-      case OpCode::kCmpNeFC:
-      case OpCode::kCmpLtFC:
-      case OpCode::kCmpLeFC:
-      case OpCode::kCmpGtFC:
-      case OpCode::kCmpGeFC: {
-        const OpCode base = FusedCmpBase(in.op);
-        const RegSlot k = consts[in.b];
-        const RegSlot* src = batch.ColumnPtr(in.a);
-        if (src == nullptr) {
-          CmpColumns(base, &null_slot, 0, &k, 0, d, rows);
-          rc[in.dst] = ColClass::kMixed;
-          break;
-        }
-        const ColClass sc = batch.ColumnClass(in.a);
-        const ColClass kc = ClassOfType(k.type);
-        if (ColClass cls; CmpColumnsFast(base, src, sc, &k, 0, kc, d, rows,
-                                         &cls)) {
-          rc[in.dst] = cls;
-        } else {
-          CmpColumns(base, src, 1, &k, 0, d, rows);
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kTruthy: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        switch (rc[in.a]) {
-          case ColClass::kBool:
-            std::copy(a, a + rows, d);
-            break;
-          case ColClass::kInt:
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = BoolSlot(a[r].v.i != 0);
-            }
-            break;
-          case ColClass::kDouble:
-            // NaN != 0.0 is true, exactly SlotTruthy on a NaN double.
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = BoolSlot(a[r].v.d != 0.0);
-            }
-            break;
-          default:
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = BoolSlot(SlotTruthy(a[r]));
-            }
-            break;
-        }
-        rc[in.dst] = ColClass::kBool;
-        break;
-      }
-      case OpCode::kNot: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        if (rc[in.a] == ColClass::kBool) {
-          for (size_t r = 0; r < rows; ++r) d[r] = BoolSlot(!a[r].v.b);
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(!SlotTruthy(a[r]));
-          }
-        }
-        rc[in.dst] = ColClass::kBool;
-        break;
-      }
-      case OpCode::kNeg: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        if (rc[in.a] == ColClass::kDouble) {
-          for (size_t r = 0; r < rows; ++r) d[r] = DoubleSlot(-a[r].v.d);
-          rc[in.dst] = ColClass::kDouble;
-        } else if (rc[in.a] == ColClass::kInt) {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = IntSlot(WrapNeg(a[r].v.i));
-          }
-          rc[in.dst] = ColClass::kInt;
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            const RegSlot& src = a[r];
-            if (src.type == ValueType::kInt) {
-              d[r] = IntSlot(WrapNeg(src.v.i));
-            } else if (src.type == ValueType::kDouble) {
-              d[r] = DoubleSlot(-src.v.d);
-            } else {
-              d[r] = RegSlot{};
-            }
-          }
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kAndEager: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        if (rc[in.a] == ColClass::kBool && rc[in.b] == ColClass::kBool) {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(a[r].v.b && b[r].v.b);
-          }
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(SlotTruthy(a[r]) && SlotTruthy(b[r]));
-          }
-        }
-        rc[in.dst] = ColClass::kBool;
-        break;
-      }
-      case OpCode::kOrEager: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        if (rc[in.a] == ColClass::kBool && rc[in.b] == ColClass::kBool) {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(a[r].v.b || b[r].v.b);
-          }
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(SlotTruthy(a[r]) || SlotTruthy(b[r]));
-          }
-        }
-        rc[in.dst] = ColClass::kBool;
-        break;
-      }
-      case OpCode::kRet:
-      case OpCode::kJump:
-      case OpCode::kJumpIfFalsy:
-      case OpCode::kJumpIfTruthy:
-        // Control flow is handled by the executors themselves.
-        break;
+  const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
+  const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
+  size_t a_stride = 1;
+  size_t b_stride = 1;
+  if (IsFusedCmp(in.op)) {
+    // Field column (null on every row when absent) vs a broadcast const.
+    a = batch.ColumnPtr(in.a);
+    if (a == nullptr) {
+      a = &kNullSlot;
+      a_stride = 0;
     }
+    b = consts + in.b;
+    b_stride = 0;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    d[r] = ScalarOp(in.op, a[r * a_stride], b[r * b_stride]);
   }
 }
 
-}  // namespace
-
-void BytecodeProgram::RunColumnScalar(const ColumnarBatch& batch,
-                                      ExecScratch* scratch,
-                                      uint8_t* out) const {
-  const size_t rows = batch.num_rows();
-  // Column-major register file: register r is cols[r*rows .. r*rows+rows),
-  // with a uniformity class per register selecting specialized kernels.
-  const size_t need = static_cast<size_t>(flat_num_regs_) * rows;
-  if (scratch->cols.size() < need) scratch->cols.resize(need);
-  scratch->reg_class.assign(static_cast<size_t>(flat_num_regs_),
-                            ColClass::kMixed);
-  RegSlot* const regs = scratch->cols.data();
-  ColClass* const rc = scratch->reg_class.data();
-  const RegSlot* consts = const_slots_.data();
-  for (const Instr& in : flat_code_) {
-    switch (in.op) {
-      case OpCode::kRet: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        if (rc[in.a] == ColClass::kBool) {
-          for (size_t r = 0; r < rows; ++r) out[r] = a[r].v.b ? 1 : 0;
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            out[r] = SlotTruthy(a[r]) ? 1 : 0;
-          }
-        }
-        return;
-      }
-      case OpCode::kJump:
-      case OpCode::kJumpIfFalsy:
-      case OpCode::kJumpIfTruthy: {
-        // Unreachable: the flat lowering is branch-free by construction.
-        // Fall back to per-row scalar execution rather than misexecute.
-        for (size_t row = 0; row < rows; ++row) {
-          out[row] = SlotTruthy(
-              Exec(scratch, [&](int f) { return batch.Cell(f, row); }));
-        }
-        return;
-      }
-      default:
-        ExecColumnInstr(in, batch, consts, regs, rc, rows);
-        break;
-    }
-  }
-}
-
-namespace {
-
-// --- SoA columnar executor ----------------------------------------------
 // Registers hold SoaView representations (splat / dense typed column /
-// AoS fallback); typed rows run through the dispatched SIMD kernel
-// table, and any register that degrades to per-row typing falls back to
-// ExecColumnInstr on the RegSlot register file — the exact scalar path,
-// so the two executors cannot drift.
+// AoS fallback); typed rows run through the dispatched kernel table, and
+// any register that degrades to per-row typing falls back to
+// ExecColumnInstr on the RegSlot register file.
 //
 // Aliasing discipline: a view's pointers reference either ColumnarBatch
 // storage (immutable for the run) or the register's *own* scratch
@@ -922,7 +397,6 @@ struct SoaExec {
   const RegSlot* consts;
   const size_t rows;
   RegSlot* aos;       // AoS fallback register file (scratch->cols)
-  ColClass* rc;       // its per-register uniformity class
   SoaView* v;
   uint64_t* lanes;    // value lanes, rows per register
   uint8_t* bytes;     // bool/null bytes, 2*rows per register
@@ -993,7 +467,6 @@ struct SoaExec {
     RegSlot* d = aos + static_cast<size_t>(r) * rows;
     if (w.splat) {
       std::fill(d, d + rows, w.splat_val);
-      rc[r] = ClassOfType(w.splat_val.type);
     } else {
       const uint8_t* nn = w.null;
       switch (w.cls) {
@@ -1019,24 +492,23 @@ struct SoaExec {
           break;
         }
       }
-      rc[r] = nn == nullptr ? w.cls : ColClass::kMixed;
     }
     v[r] = SoaView{};
   }
 
   void Fallback1(const Instr& in) {
     ToAos(in.a);
-    ExecColumnInstr(in, batch, consts, aos, rc, rows);
+    ExecColumnInstr(in, batch, consts, aos, rows);
     v[in.dst] = SoaView{};
   }
   void Fallback2(const Instr& in) {
     ToAos(in.a);
     ToAos(in.b);
-    ExecColumnInstr(in, batch, consts, aos, rc, rows);
+    ExecColumnInstr(in, batch, consts, aos, rows);
     v[in.dst] = SoaView{};
   }
   void FallbackFC(const Instr& in) {
-    ExecColumnInstr(in, batch, consts, aos, rc, rows);
+    ExecColumnInstr(in, batch, consts, aos, rows);
     v[in.dst] = SoaView{};
   }
 
@@ -1151,29 +623,14 @@ struct SoaExec {
     }
     RegSlot* d = aos + static_cast<size_t>(in.dst) * rows;
     std::copy(src, src + rows, d);
-    rc[in.dst] = ColClass::kMixed;
     v[in.dst] = SoaView{};
-  }
-
-  static RegSlot ScalarArith(OpCode op, const RegSlot& a, const RegSlot& b) {
-    switch (op) {
-      case OpCode::kAdd:
-        return NumericSlotOp(a, b, WrapAdd,
-                             [](double x, double y) { return x + y; });
-      case OpCode::kSub:
-        return NumericSlotOp(a, b, WrapSub,
-                             [](double x, double y) { return x - y; });
-      default:  // kMul
-        return NumericSlotOp(a, b, WrapMul,
-                             [](double x, double y) { return x * y; });
-    }
   }
 
   void Arith(const Instr& in) {
     const SoaView& wa = v[in.a];
     const SoaView& wb = v[in.b];
     if (wa.splat && wb.splat) {
-      SplatOut(in.dst, ScalarArith(in.op, wa.splat_val, wb.splat_val));
+      SplatOut(in.dst, ScalarOp(in.op, wa.splat_val, wb.splat_val));
       return;
     }
     if (InAos(wa) || InAos(wb)) {
@@ -1241,14 +698,7 @@ struct SoaExec {
   void Neg(const Instr& in) {
     const SoaView& wa = v[in.a];
     if (wa.splat) {
-      const RegSlot& s = wa.splat_val;
-      RegSlot r;
-      if (s.type == ValueType::kInt) {
-        r = IntSlot(WrapNeg(s.v.i));
-      } else if (s.type == ValueType::kDouble) {
-        r = DoubleSlot(-s.v.d);
-      }
-      SplatOut(in.dst, r);
+      SplatOut(in.dst, ScalarOp(in.op, wa.splat_val, RegSlot{}));
       return;
     }
     if (InAos(wa)) {
@@ -1390,11 +840,10 @@ struct SoaExec {
     FallbackFC(in);  // mixed/string columns, bool order compares
   }
 
-  void TruthyOp(const Instr& in, bool negate) {
+  void Not(const Instr& in) {
     const SoaView& wa = v[in.a];
     if (wa.splat) {
-      const bool t = SlotTruthy(wa.splat_val);
-      SplatOut(in.dst, BoolSlot(negate ? !t : t));
+      SplatOut(in.dst, ScalarOp(in.op, wa.splat_val, RegSlot{}));
       return;
     }
     if (InAos(wa)) {
@@ -1402,12 +851,7 @@ struct SoaExec {
       return;
     }
     uint8_t* out = OwnVal(in.dst);
-    const uint8_t* p = BoolBytes(in.a, out);
-    if (negate) {
-      K.not_bool(p, out, rows);
-    } else if (p != out) {
-      std::memcpy(out, p, rows);
-    }
+    K.not_bool(BoolBytes(in.a, out), out, rows);
     SetBool(in.dst, nullptr);
   }
 
@@ -1419,9 +863,7 @@ struct SoaExec {
       return;
     }
     if (wa.splat && wb.splat) {
-      const bool ta = SlotTruthy(wa.splat_val);
-      const bool tb = SlotTruthy(wb.splat_val);
-      SplatOut(in.dst, BoolSlot(is_and ? ta && tb : ta || tb));
+      SplatOut(in.dst, ScalarOp(in.op, wa.splat_val, wb.splat_val));
       return;
     }
     if (wa.splat || wb.splat) {
@@ -1471,13 +913,7 @@ struct SoaExec {
       p = tmp;
     } else if (InAos(wa)) {
       const RegSlot* a = aos + static_cast<size_t>(in.a) * rows;
-      if (rc[in.a] == ColClass::kBool) {
-        for (size_t r = 0; r < rows; ++r) tmp[r] = a[r].v.b ? 1 : 0;
-      } else {
-        for (size_t r = 0; r < rows; ++r) {
-          tmp[r] = SlotTruthy(a[r]) ? 1 : 0;
-        }
-      }
+      for (size_t r = 0; r < rows; ++r) tmp[r] = SlotTruthy(a[r]) ? 1 : 0;
       p = tmp;
     } else {
       p = BoolBytes(in.a, tmp);
@@ -1492,16 +928,14 @@ struct SoaExec {
 }  // namespace
 
 void BytecodeProgram::RunColumnSoa(const ColumnarBatch& batch,
-                                   ExecScratch* scratch,
-                                   const simd::Kernels& kernels,
-                                   uint8_t* out_bytes,
+                                   ExecScratch* scratch, uint8_t* out_bytes,
                                    uint64_t* out_words) const {
   const size_t rows = batch.num_rows();
-  const size_t nregs = static_cast<size_t>(flat_num_regs_);
+  if (rows == 0) return;
+  const size_t nregs = static_cast<size_t>(num_registers_);
   if (scratch->cols.size() < nregs * rows) {
     scratch->cols.resize(nregs * rows);
   }
-  scratch->reg_class.assign(nregs, ColClass::kMixed);
   scratch->soa_view.assign(nregs, SoaView{});
   if (scratch->soa_lanes.size() < nregs * rows) {
     scratch->soa_lanes.resize(nregs * rows);
@@ -1513,19 +947,18 @@ void BytecodeProgram::RunColumnSoa(const ColumnarBatch& batch,
   if (scratch->byte_tmp.size() < 3 * rows) {
     scratch->byte_tmp.resize(3 * rows);
   }
-  SoaExec ex{kernels,
+  SoaExec ex{*simd::KernelsFor(scratch->simd),
              batch,
              const_slots_.data(),
              rows,
              scratch->cols.data(),
-             scratch->reg_class.data(),
              scratch->soa_view.data(),
              scratch->soa_lanes.data(),
              scratch->soa_bytes.data(),
              scratch->num_tmp.data(),
              scratch->byte_tmp.data()};
   uint8_t* const ret_tmp = scratch->byte_tmp.data() + 2 * rows;
-  for (const Instr& in : flat_code_) {
+  for (const Instr& in : instrs_) {
     switch (in.op) {
       case OpCode::kLoadConst:
         ex.SplatOut(in.dst, const_slots_[in.a]);
@@ -1557,11 +990,8 @@ void BytecodeProgram::RunColumnSoa(const ColumnarBatch& batch,
       case OpCode::kCmpGeFC:
         ex.CmpFC(in);
         break;
-      case OpCode::kTruthy:
-        ex.TruthyOp(in, false);
-        break;
       case OpCode::kNot:
-        ex.TruthyOp(in, true);
+        ex.Not(in);
         break;
       case OpCode::kNeg:
         ex.Neg(in);
@@ -1575,22 +1005,6 @@ void BytecodeProgram::RunColumnSoa(const ColumnarBatch& batch,
       case OpCode::kRet:
         ex.Ret(in, out_bytes, out_words, ret_tmp);
         return;
-      case OpCode::kJump:
-      case OpCode::kJumpIfFalsy:
-      case OpCode::kJumpIfTruthy: {
-        // Unreachable (flat stream is branch-free); per-row scalar
-        // fallback, as in RunColumnScalar.
-        uint8_t* tmp = out_bytes != nullptr ? out_bytes : ret_tmp;
-        for (size_t row = 0; row < rows; ++row) {
-          tmp[row] = SlotTruthy(Exec(scratch, [&](int f) {
-                       return batch.Cell(f, row);
-                     }))
-                         ? 1
-                         : 0;
-        }
-        if (out_words != nullptr) kernels.pack_bits(tmp, rows, out_words);
-        return;
-      }
     }
   }
 }
@@ -1598,38 +1012,20 @@ void BytecodeProgram::RunColumnSoa(const ColumnarBatch& batch,
 void BytecodeProgram::RunPredicateColumn(const ColumnarBatch& batch,
                                          ExecScratch* scratch,
                                          uint8_t* out) const {
-  if (batch.num_rows() == 0) return;
-  if (const simd::Kernels* k = simd::KernelsFor(scratch->simd)) {
-    RunColumnSoa(batch, scratch, *k, out, nullptr);
-  } else {
-    RunColumnScalar(batch, scratch, out);
-  }
+  RunColumnSoa(batch, scratch, out, nullptr);
 }
 
 void BytecodeProgram::RunPredicateColumnBits(const ColumnarBatch& batch,
                                              ExecScratch* scratch,
                                              uint64_t* out_words) const {
-  const size_t rows = batch.num_rows();
-  if (rows == 0) return;
-  if (const simd::Kernels* k = simd::KernelsFor(scratch->simd)) {
-    RunColumnSoa(batch, scratch, *k, nullptr, out_words);
-    return;
-  }
-  if (scratch->byte_tmp.size() < rows) scratch->byte_tmp.resize(rows);
-  uint8_t* const tmp = scratch->byte_tmp.data();
-  RunColumnScalar(batch, scratch, tmp);
-  const size_t words = (rows + 63) / 64;
-  for (size_t w = 0; w < words; ++w) out_words[w] = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    out_words[r >> 6] |= static_cast<uint64_t>(tmp[r] & 1) << (r & 63);
-  }
+  RunColumnSoa(batch, scratch, nullptr, out_words);
 }
 
 // --- Disassembler -------------------------------------------------------
 
 std::string BytecodeProgram::Disassemble() const {
   std::string out;
-  out.append("; regs=").append(std::to_string(num_regs_));
+  out.append("; regs=").append(std::to_string(num_registers_));
   out.append(" consts=").append(std::to_string(consts_.size()));
   out.append(" fields=[");
   for (size_t i = 0; i < fields_.size(); ++i) {
@@ -1642,32 +1038,20 @@ std::string BytecodeProgram::Disassemble() const {
     out.append(ValueTypeName(consts_[i].type()));
     out.append(":").append(consts_[i].ToString()).append("\n");
   }
-  AppendListing(code_, &out);
-  // The branch-free columnar lowering of the same predicate; pinned in
-  // the goldens alongside the scalar stream so eager AND/OR codegen
-  // changes are just as reviewable.
-  out.append("; columnar: regs=").append(std::to_string(flat_num_regs_));
-  out.append("\n");
-  AppendListing(flat_code_, &out);
-  return out;
-}
-
-void BytecodeProgram::AppendListing(const std::vector<Instr>& code,
-                                    std::string* out) {
-  for (size_t i = 0; i < code.size(); ++i) {
-    const Instr& in = code[i];
-    char head[16];
+  for (size_t i = 0; i < instrs_.size(); ++i) {
+    const Instr& in = instrs_[i];
+    char head[24];
     std::snprintf(head, sizeof(head), "L%zu:", i);
-    out->append(head);
-    out->append(" ").append(OpCodeName(in.op));
+    out.append(head);
+    out.append(" ").append(OpCodeName(in.op));
     switch (in.op) {
       case OpCode::kLoadConst:
-        out->append(" r").append(std::to_string(in.dst));
-        out->append(", c").append(std::to_string(in.a));
+        out.append(" r").append(std::to_string(in.dst));
+        out.append(", c").append(std::to_string(in.a));
         break;
       case OpCode::kLoadField:
-        out->append(" r").append(std::to_string(in.dst));
-        out->append(", f").append(std::to_string(in.a));
+        out.append(" r").append(std::to_string(in.dst));
+        out.append(", f").append(std::to_string(in.a));
         break;
       case OpCode::kAdd:
       case OpCode::kSub:
@@ -1681,9 +1065,9 @@ void BytecodeProgram::AppendListing(const std::vector<Instr>& code,
       case OpCode::kCmpGe:
       case OpCode::kAndEager:
       case OpCode::kOrEager:
-        out->append(" r").append(std::to_string(in.dst));
-        out->append(", r").append(std::to_string(in.a));
-        out->append(", r").append(std::to_string(in.b));
+        out.append(" r").append(std::to_string(in.dst));
+        out.append(", r").append(std::to_string(in.a));
+        out.append(", r").append(std::to_string(in.b));
         break;
       case OpCode::kCmpEqFC:
       case OpCode::kCmpNeFC:
@@ -1691,30 +1075,22 @@ void BytecodeProgram::AppendListing(const std::vector<Instr>& code,
       case OpCode::kCmpLeFC:
       case OpCode::kCmpGtFC:
       case OpCode::kCmpGeFC:
-        out->append(" r").append(std::to_string(in.dst));
-        out->append(", f").append(std::to_string(in.a));
-        out->append(", c").append(std::to_string(in.b));
+        out.append(" r").append(std::to_string(in.dst));
+        out.append(", f").append(std::to_string(in.a));
+        out.append(", c").append(std::to_string(in.b));
         break;
-      case OpCode::kTruthy:
       case OpCode::kNot:
       case OpCode::kNeg:
-        out->append(" r").append(std::to_string(in.dst));
-        out->append(", r").append(std::to_string(in.a));
-        break;
-      case OpCode::kJump:
-        out->append(" @L").append(std::to_string(in.b));
-        break;
-      case OpCode::kJumpIfFalsy:
-      case OpCode::kJumpIfTruthy:
-        out->append(" r").append(std::to_string(in.a));
-        out->append(", @L").append(std::to_string(in.b));
+        out.append(" r").append(std::to_string(in.dst));
+        out.append(", r").append(std::to_string(in.a));
         break;
       case OpCode::kRet:
-        out->append(" r").append(std::to_string(in.a));
+        out.append(" r").append(std::to_string(in.a));
         break;
     }
-    out->append("\n");
+    out.append("\n");
   }
+  return out;
 }
 
 // --- Compiler -----------------------------------------------------------
@@ -1758,36 +1134,22 @@ class NodeShape : private ExpressionVisitor {
 
 /// Tree-walking code generator. Register allocation is stack-shaped: a
 /// node's result lands in `dst`, binary operands in `dst` / `dst + 1`, so
-/// the register count equals the tree depth. Each predicate is lowered
-/// twice from the same tree: a scalar stream where AND/OR become
-/// short-circuit jumps with the interpreter's exact result values
-/// (lhs-falsy AND returns literal false, not the lhs value), and a
-/// branch-free stream where they become eager boolean opcodes — value-
-/// identical because no opcode traps — which the columnar executor can
-/// run column-at-a-time. `field OP literal` comparisons fuse into one
-/// instruction in both streams (mirrored when the literal is on the
-/// left: c < f  ==  f > c, and incomparability is symmetric).
+/// the register count equals the tree depth. AND/OR become eager boolean
+/// opcodes — value-identical to the interpreter's short-circuit because
+/// no opcode traps — so the stream is straight-line and runs
+/// column-at-a-time. `field OP literal` comparisons fuse into one
+/// instruction (mirrored when the literal is on the left: c < f  ==
+/// f > c, and incomparability is symmetric).
 class PredicateCompiler : private ExpressionVisitor {
  public:
   Result<std::shared_ptr<const BytecodeProgram>> Compile(
       const Expression& root) {
     program_ = std::shared_ptr<BytecodeProgram>(new BytecodeProgram());
+    CompileInto(root, 0);
     Instr ret;
     ret.op = OpCode::kRet;
     ret.a = 0;
-
-    eager_bool_ = false;
-    out_ = &program_->code_;
-    num_regs_ptr_ = &program_->num_regs_;
-    CompileInto(root, 0);
-    program_->code_.push_back(ret);
-
-    eager_bool_ = true;
-    out_ = &program_->flat_code_;
-    num_regs_ptr_ = &program_->flat_num_regs_;
-    CompileInto(root, 0);
-    program_->flat_code_.push_back(ret);
-
+    Emit(ret);
     if (!error_.ok()) return error_;
     std::sort(program_->fields_.begin(), program_->fields_.end());
     // Prebuild the unboxed constant pool; string slots borrow from the
@@ -1806,7 +1168,9 @@ class PredicateCompiler : private ExpressionVisitor {
       Fail("expression tree too deep for 16-bit registers");
       return;
     }
-    if (dst + 1 > *num_regs_ptr_) *num_regs_ptr_ = dst + 1;
+    if (dst + 1 > program_->num_registers_) {
+      program_->num_registers_ = dst + 1;
+    }
     dst_ = dst;
     expr.Accept(this);
   }
@@ -1842,47 +1206,6 @@ class PredicateCompiler : private ExpressionVisitor {
   void VisitBinary(BinaryOp op, const Expression& lhs,
                    const Expression& rhs) override {
     const int dst = dst_;
-    if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-      const bool is_and = op == BinaryOp::kAnd;
-      if (eager_bool_) {
-        // Branch-free lowering: evaluate both sides, combine truthiness.
-        // Identical to the short-circuit result because evaluation is
-        // total and pure — skipping the rhs is unobservable.
-        CompileInto(lhs, dst);
-        CompileInto(rhs, dst + 1);
-        Instr in;
-        in.op = is_and ? OpCode::kAndEager : OpCode::kOrEager;
-        in.dst = static_cast<uint16_t>(dst);
-        in.a = static_cast<uint16_t>(dst);
-        in.b = static_cast<uint16_t>(dst + 1);
-        Emit(in);
-        return;
-      }
-      // lhs decides; on short-circuit the result is the literal bool,
-      // otherwise Truthy(rhs) — exactly BinaryExpr::Eval.
-      CompileInto(lhs, dst);
-      Instr jshort;
-      jshort.op = is_and ? OpCode::kJumpIfFalsy : OpCode::kJumpIfTruthy;
-      jshort.a = static_cast<uint16_t>(dst);
-      const size_t jshort_at = Emit(jshort);
-      CompileInto(rhs, dst);
-      Instr truthy;
-      truthy.op = OpCode::kTruthy;
-      truthy.dst = static_cast<uint16_t>(dst);
-      truthy.a = static_cast<uint16_t>(dst);
-      Emit(truthy);
-      Instr jend;
-      jend.op = OpCode::kJump;
-      const size_t jend_at = Emit(jend);
-      Patch(jshort_at, CurrentLabel());
-      Instr load;
-      load.op = OpCode::kLoadConst;
-      load.dst = static_cast<uint16_t>(dst);
-      load.a = InternConst(Value(!is_and));
-      Emit(load);
-      Patch(jend_at, CurrentLabel());
-      return;
-    }
     if (OpCode fused; FusedCmpOp(op, &fused)) {
       const NodeShape l = NodeShape::Of(lhs);
       const NodeShape r = NodeShape::Of(rhs);
@@ -1928,6 +1251,12 @@ class PredicateCompiler : private ExpressionVisitor {
         break;
       case BinaryOp::kGe:
         in.op = OpCode::kCmpGe;
+        break;
+      case BinaryOp::kAnd:
+        in.op = OpCode::kAndEager;
+        break;
+      case BinaryOp::kOr:
+        in.op = OpCode::kOrEager;
         break;
       default:
         Fail("unhandled binary operator");
@@ -2013,16 +1342,7 @@ class PredicateCompiler : private ExpressionVisitor {
     RecordField(field);
   }
 
-  size_t Emit(const Instr& in) {
-    out_->push_back(in);
-    return out_->size() - 1;
-  }
-
-  uint16_t CurrentLabel() const {
-    return static_cast<uint16_t>(out_->size());
-  }
-
-  void Patch(size_t at, uint16_t target) { (*out_)[at].b = target; }
+  void Emit(const Instr& in) { program_->instrs_.push_back(in); }
 
   /// Deduplicates by the bit-exact structural encoding (the same one the
   /// multi-query fingerprint uses), so 0.1 and a longer spelling of the
@@ -2081,9 +1401,6 @@ class PredicateCompiler : private ExpressionVisitor {
   std::shared_ptr<BytecodeProgram> program_;
   std::unordered_map<std::string, int> const_index_;
   Status error_ = Status::OK();
-  std::vector<Instr>* out_ = nullptr;   // stream of the current pass
-  int* num_regs_ptr_ = nullptr;         // its register-count watermark
-  bool eager_bool_ = false;             // flat pass: eager AND/OR
   int dst_ = 0;
 };
 

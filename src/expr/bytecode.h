@@ -15,24 +15,25 @@
 
 namespace tpstream {
 
-/// Compiled predicate bytecode: a flat register program equivalent to one
-/// DEFINE predicate's Expression tree, plus a columnar batch entry point.
+/// Compiled predicate bytecode: a flat, branch-free register program
+/// equivalent to one DEFINE predicate's Expression tree, evaluated
+/// column-at-a-time over an event batch.
 ///
 /// Semantics are pinned to the tree interpreter bit-for-bit — the same
 /// null/type-error propagation, numeric widening, wraparound integer
 /// arithmetic (common/value.h), NaN-aware comparisons and AND/OR
-/// short-circuiting (tests/bytecode_fuzz_test.cc differentially fuzzes
-/// the two evaluators; the interpreter stays the default oracle). The VM
-/// exists purely to make the deriver's per-event hot path cheaper: no
-/// virtual dispatch, no Value variant copies, and — through
-/// ColumnarBatch — field decoding done once per (event, field) instead of
-/// once per (event, predicate).
+/// truthiness (tests/bytecode_fuzz_test.cc differentially fuzzes the two
+/// evaluators). The interpreter stays the oracle and evaluates single
+/// events; the program exists to make batches cheaper: one opcode
+/// dispatch per batch instead of per event, no Value variant copies, and
+/// — through ColumnarBatch — field decoding done once per (event, field)
+/// instead of once per (event, predicate).
 
 // --- Instruction set ----------------------------------------------------
 
 enum class OpCode : uint8_t {
   kLoadConst,     // r[dst] = consts[a]
-  kLoadField,     // r[dst] = tuple/column field a (null when absent)
+  kLoadField,     // r[dst] = field a (null when absent)
   kAdd,           // r[dst] = r[a] op r[b]: numeric widening, null on
   kSub,           //   type mismatch; int op int wraps (common/value.h)
   kMul,
@@ -43,13 +44,9 @@ enum class OpCode : uint8_t {
   kCmpLe,
   kCmpGt,
   kCmpGe,
-  kTruthy,        // r[dst] = bool(Truthy(r[a])) — materializes AND/OR
   kNot,           // r[dst] = bool(!Truthy(r[a]))
   kNeg,           // r[dst] = -r[a] for int/double, null otherwise
-  kJump,          // pc = b
-  kJumpIfFalsy,   // pc = b when !Truthy(r[a])
-  kJumpIfTruthy,  // pc = b when Truthy(r[a])
-  kRet,           // return r[a]
+  kRet,           // result = Truthy(r[a])
   // Fused comparisons: r[dst] = cmp(field a, consts[b]) in one dispatch.
   // `field OP literal` is the dominant DEFINE shape; fusing it removes
   // two loads and two dispatches per evaluation. Must stay contiguous
@@ -61,11 +58,11 @@ enum class OpCode : uint8_t {
   kCmpLeFC,
   kCmpGtFC,
   kCmpGeFC,
-  // Eager boolean connectives: r[dst] = Truthy(r[a]) op Truthy(r[b]).
-  // Only emitted into the branch-free columnar stream. Because every
-  // opcode is total (division by zero and type errors yield null, never
-  // a trap), evaluating the skipped operand is unobservable and the
-  // eager result Value is identical to the short-circuit one.
+  // Eager boolean connectives: r[dst] = Truthy(r[a]) op Truthy(r[b]),
+  // what AND/OR compile to. Because every opcode is total (division by
+  // zero and type errors yield null, never a trap), evaluating the
+  // operand the interpreter would skip is unobservable and the eager
+  // result Value is identical to the short-circuit one.
   kAndEager,
   kOrEager,
 };
@@ -73,8 +70,9 @@ enum class OpCode : uint8_t {
 const char* OpCodeName(OpCode op);
 
 /// One instruction. Operand meaning depends on the opcode: `a` is the
-/// first source register (or the constant/field index for loads), `b` the
-/// second source register or the jump target.
+/// first source register (or the constant/field index for loads and
+/// fused comparisons), `b` the second source register (or the constant
+/// index of a fused comparison).
 struct Instr {
   OpCode op;
   uint16_t dst = 0;
@@ -82,10 +80,10 @@ struct Instr {
   uint16_t b = 0;
 };
 
-/// One VM register: an unboxed Value. Strings are never created by
-/// bytecode (no string-producing opcode exists), so a register only ever
-/// *borrows* a string owned by the constant pool or by the evaluated
-/// tuple.
+/// One unboxed Value: a ColumnarBatch cell or a row of an AoS register.
+/// Strings are never created by bytecode (no string-producing opcode
+/// exists), so a slot only ever *borrows* a string owned by the constant
+/// pool or by the evaluated tuple.
 struct RegSlot {
   ValueType type = ValueType::kNull;
   union Payload {
@@ -113,7 +111,7 @@ enum class ColClass : uint8_t { kMixed, kInt, kDouble, kBool };
 ///    optional per-row null-byte mask (1 = null; value lane then
 ///    don't-care);
 ///  - the AoS fallback (`cls` kMixed, no splat): the register lives in
-///    ExecScratch::cols as RegSlots, exactly like the scalar executor.
+///    ExecScratch::cols as RegSlots and is evaluated row by row.
 /// `val`/`null` may alias ColumnarBatch storage (zero-copy field loads)
 /// or the register's *own* scratch buffers — never another register's,
 /// since stack-shaped allocation reuses registers underneath.
@@ -125,21 +123,19 @@ struct SoaView {
   const uint8_t* null = nullptr;
 };
 
-/// Reusable register file, owned by the caller so one evaluation
-/// allocates nothing. Sized on first use per program. `cols` is the
-/// column-major register file of the columnar executor (register r is
-/// the slice [r * rows, (r + 1) * rows)).
+/// Reusable executor state, owned by the caller so one evaluation
+/// allocates nothing. Sized on first use per program.
 ///
-/// `simd` selects the columnar executor tier: the default resolves the
-/// TPSTREAM_SIMD environment variable (off|sse2|avx2|native) or the best
-/// level the machine supports; kOff runs the scalar RegSlot loops. The
-/// soa_* members are the SIMD executor's owned SoA storage: per-register
-/// 8-byte value lanes (soa_lanes), value/null byte pairs (soa_bytes),
-/// and conversion/mask scratch (num_tmp/byte_tmp).
+/// `simd` selects the kernel table the executor runs on: the default
+/// resolves the TPSTREAM_SIMD environment variable (off|sse2|avx2|native)
+/// or the best level the machine supports; kOff runs the same executor
+/// on scalar-width kernels. The soa_* members are the executor's owned
+/// SoA storage: per-register 8-byte value lanes (soa_lanes), value/null
+/// byte pairs (soa_bytes), and conversion/mask scratch
+/// (num_tmp/byte_tmp). `cols` is the AoS register file of the mixed-type
+/// fallback (register r is the slice [r * rows, (r + 1) * rows)).
 struct ExecScratch {
-  std::vector<RegSlot> regs;
   std::vector<RegSlot> cols;
-  std::vector<ColClass> reg_class;  // uniformity per column register
   simd::SimdLevel simd = simd::DefaultSimdLevel();
   std::vector<SoaView> soa_view;
   std::vector<uint64_t> soa_lanes;  // reg r: [r*rows, (r+1)*rows) lanes
@@ -166,13 +162,6 @@ class ColumnarBatch {
   void Assign(std::span<const Event> events, const std::vector<int>& fields);
 
   size_t num_rows() const { return rows_; }
-
-  /// The decoded cell for (field, row); null slot when `field` was not
-  /// materialized. `row < num_rows()`.
-  RegSlot Cell(int field, size_t row) const {
-    const RegSlot* col = ColumnPtr(field);
-    return col == nullptr ? RegSlot{} : col[row];
-  }
 
   /// The whole decoded column for `field` (num_rows() slots), or nullptr
   /// when the field was not materialized — the columnar executor hoists
@@ -232,36 +221,23 @@ class ColumnarBatch {
 
 /// An immutable compiled predicate. Not copyable or movable: register
 /// slots of string constants point into the program's own pool, so the
-/// program lives behind the unique_ptr CompilePredicate returns.
+/// program lives behind the shared_ptr CompilePredicate returns.
 class BytecodeProgram {
  public:
   BytecodeProgram(const BytecodeProgram&) = delete;
   BytecodeProgram& operator=(const BytecodeProgram&) = delete;
 
-  /// Evaluates against one tuple; returns exactly what the source
-  /// Expression's Eval returns (type- and bit-identical).
-  Value Run(const Tuple& tuple, ExecScratch* scratch) const;
-
-  /// Convenience overload with a throwaway register file (tests).
-  Value Run(const Tuple& tuple) const;
-
-  /// Predicate form: Truthy(Run(tuple)) without materializing the Value.
-  bool RunPredicate(const Tuple& tuple, ExecScratch* scratch) const;
-  bool RunPredicate(const Tuple& tuple) const;
-
-  /// Columnar entry point: evaluates the predicate over every row of
-  /// `batch`, writing Truthy(result) into out[0..num_rows). The batch
-  /// must have been assigned with (a superset of) referenced_fields().
+  /// Evaluates the predicate over every row of `batch`, writing
+  /// Truthy(result) into out[0..num_rows). The batch must have been
+  /// assigned with (a superset of) referenced_fields(). Each row equals
+  /// EvalPredicate on that row's tuple (the fuzzer pins this at every
+  /// SIMD tier).
   ///
-  /// Runs the branch-free flat_code() stream column-at-a-time: one
-  /// opcode dispatch covers the whole batch, with registers as columns,
-  /// so the per-row cost is just the operation itself. Results are
-  /// bit-identical to Run() per row (the fuzzer pins this).
-  ///
-  /// When scratch->simd is not kOff, registers use the SoA layout
-  /// (SoaView) and typed rows run through the simd.h kernel table; the
-  /// scalar RegSlot executor remains both the kOff path and the
-  /// per-instruction fallback for mixed-typed rows.
+  /// Runs the straight-line code() stream column-at-a-time: one opcode
+  /// dispatch covers the whole batch. Registers use the SoA layout
+  /// (SoaView); typed rows run through the simd.h kernel table that
+  /// scratch->simd selects, and mixed-typed registers fall back to a
+  /// per-row RegSlot loop.
   void RunPredicateColumn(const ColumnarBatch& batch, ExecScratch* scratch,
                           uint8_t* out) const;
 
@@ -276,45 +252,28 @@ class BytecodeProgram {
   /// ColumnarBatch must materialize for RunPredicateColumn.
   const std::vector<int>& referenced_fields() const { return fields_; }
 
-  int num_registers() const { return num_regs_; }
-  int num_instructions() const { return static_cast<int>(code_.size()); }
-  const std::vector<Instr>& code() const { return code_; }
-
-  /// The branch-free columnar lowering of the same predicate: AND/OR
-  /// compile to kAndEager/kOrEager instead of short-circuit jumps, so
-  /// the stream is straight-line and can execute column-at-a-time. May
-  /// use more registers than code() (eager operands can't share a slot).
-  const std::vector<Instr>& flat_code() const { return flat_code_; }
-  int num_flat_registers() const { return flat_num_regs_; }
+  /// The instruction stream: branch-free (AND/OR compile to
+  /// kAndEager/kOrEager), ending in the single kRet.
+  const std::vector<Instr>& code() const { return instrs_; }
+  int num_registers() const { return num_registers_; }
 
   /// Stable text listing (golden-tested): header line, constant pool,
-  /// then one line per instruction with @Ln jump targets. Codegen changes
-  /// surface as reviewable golden-file diffs.
+  /// then one line per instruction. Codegen changes surface as
+  /// reviewable golden-file diffs.
   std::string Disassemble() const;
 
  private:
   friend class PredicateCompiler;
   BytecodeProgram() = default;
 
-  template <typename FieldLoader>
-  RegSlot Exec(ExecScratch* scratch, const FieldLoader& load) const;
-
-  void RunColumnScalar(const ColumnarBatch& batch, ExecScratch* scratch,
-                       uint8_t* out) const;
   void RunColumnSoa(const ColumnarBatch& batch, ExecScratch* scratch,
-                    const simd::Kernels& kernels, uint8_t* out_bytes,
-                    uint64_t* out_words) const;
+                    uint8_t* out_bytes, uint64_t* out_words) const;
 
-  static void AppendListing(const std::vector<Instr>& code,
-                            std::string* out);
-
-  std::vector<Instr> code_;       // short-circuit stream (scalar Run)
-  std::vector<Instr> flat_code_;  // branch-free stream (columnar)
+  std::vector<Instr> instrs_;
   std::vector<Value> consts_;         // owns string literal storage
   std::vector<RegSlot> const_slots_;  // unboxed consts_, prebuilt
   std::vector<int> fields_;           // referenced fields, ascending
-  int num_regs_ = 0;
-  int flat_num_regs_ = 0;
+  int num_registers_ = 0;
 };
 
 /// Compiles a predicate Expression tree into a bytecode program.

@@ -66,7 +66,7 @@ SimdLevel DefaultSimdLevel() {
 const Kernels* KernelsFor(SimdLevel level) {
   switch (Effective(level)) {
     case SimdLevel::kOff:
-      return nullptr;
+      break;
     case SimdLevel::kSse2:
       return internal::KernelsSse2();
     case SimdLevel::kAvx2:
@@ -76,7 +76,7 @@ const Kernels* KernelsFor(SimdLevel level) {
       return internal::KernelsSse2();
 #endif
   }
-  return nullptr;
+  return internal::KernelsOff();
 }
 
 }  // namespace tpstream::simd

@@ -8,11 +8,12 @@
 namespace tpstream::simd {
 
 /// Vector width tier of the columnar kernels. Levels are ordered: a
-/// request above what the machine supports clamps down (Effective), and
-/// kOff selects the scalar RegSlot executor, which stays the
-/// semantically-guaranteed fallback on every platform.
+/// request above what the machine supports clamps down (Effective).
+/// Every level runs the same SoA executor, each on its own kernel table.
 ///
-/// kSse2 is the portable 128-bit tier: on x86-64 it compiles to SSE2
+/// kOff is the scalar-width tier: the generic kernels built at one
+/// 64-bit lane per vector, available on every platform. kSse2 is the
+/// portable 128-bit tier: on x86-64 it compiles to SSE2
 /// (baseline, always present); elsewhere the same generic-vector kernels
 /// compile to whatever 128-bit ISA the target has (or scalar code), so
 /// the tier is always available. kAvx2 exists only when the build could
@@ -37,19 +38,20 @@ SimdLevel Effective(SimdLevel requested);
 /// to a parsable value, otherwise BestSimdLevel(). Cached on first call.
 SimdLevel DefaultSimdLevel();
 
-/// Function-pointer table of one level's kernels, or nullptr for kOff.
-/// Cross-TU dispatch: the AVX2 table lives in a TU compiled with -mavx2,
-/// so 256-bit code can never leak into paths executed on narrower CPUs.
+/// Function-pointer table of one level's kernels (after clamping with
+/// Effective); never nullptr. Cross-TU dispatch: the AVX2 table lives in
+/// a TU compiled with -mavx2, so 256-bit code can never leak into paths
+/// executed on narrower CPUs.
 struct Kernels;
 const Kernels* KernelsFor(SimdLevel level);
 
 /// One tier's columnar kernels. Boolean columns are byte arrays (one
 /// 0/1 byte per row); null masks are byte arrays too (1 = null,
-/// nullptr = no nulls) and only become packed words at the RunPredicate
-/// boundary (pack_bits). Value lanes under a set null byte are
-/// *don't-care*: every consumer folds the mask, so kernels are free to
-/// write garbage there (they never trap — integer ops wrap, float ops
-/// follow IEEE, division guards zero divisors).
+/// nullptr = no nulls) and only become packed words at the
+/// RunPredicateColumnBits boundary (pack_bits). Value lanes under a set
+/// null byte are *don't-care*: every consumer folds the mask, so kernels
+/// are free to write garbage there (they never trap — integer ops wrap,
+/// float ops follow IEEE, division guards zero divisors).
 ///
 /// Comparison families are indexed by `opcode - kCmpEq`
 /// (eq, ne, lt, le, gt, ge). Exactness contract (fuzzer-enforced):
@@ -117,6 +119,7 @@ struct Kernels {
 };
 
 namespace internal {
+const Kernels* KernelsOff();
 const Kernels* KernelsSse2();
 #if defined(TPSTREAM_HAVE_AVX2_TU)
 const Kernels* KernelsAvx2();

@@ -76,10 +76,12 @@ class QueryGroup {
     /// any query's plan, only skips recomputation).
     bool share_plans = true;
     /// Compile the shared deriver's DEFINE predicates to bytecode
-    /// (expr/bytecode.h). Programs are keyed by the same structural
-    /// fingerprint that deduplicates definitions, so each distinct
-    /// predicate across ALL registered queries compiles exactly once
-    /// (pinned by num_compiled_programs()). Off by default.
+    /// (expr/bytecode.h), evaluated columnarly over PushBatch() spans;
+    /// single events (Push) always use the interpreter. Programs are
+    /// keyed by the same structural fingerprint that deduplicates
+    /// definitions, so each distinct predicate across ALL registered
+    /// queries compiles exactly once (pinned by num_compiled_programs()).
+    /// Off by default.
     bool compiled_predicates = false;
     /// SIMD tier for columnar predicate evaluation ("off", "sse2",
     /// "avx2", "native"); empty defers to TPSTREAM_SIMD, then the

@@ -12,7 +12,7 @@
 
 // Golden disassembly tests: the compiled form of representative DEFINE
 // predicates is pinned as checked-in text. Codegen changes (register
-// allocation, short-circuit lowering, constant interning) then surface as
+// allocation, eager AND/OR lowering, constant interning) then surface as
 // reviewable golden-file diffs instead of silent perf or semantics
 // shifts. Regenerate after an intentional change with
 //     TPSTREAM_REGEN_GOLDEN=1 ./bytecode_disasm_test
@@ -131,19 +131,12 @@ TEST(BytecodeDisasmTest, ProgramShapeInvariants) {
   EXPECT_LE(program->num_registers(), 3);
   EXPECT_EQ(program->referenced_fields(), (std::vector<int>{0, 1}));
   // Last instruction is the single kRet.
-  ASSERT_GT(program->num_instructions(), 0);
-  EXPECT_EQ(program->code().back().op, OpCode::kRet);
+  const std::vector<Instr>& code = program->code();
+  ASSERT_FALSE(code.empty());
+  EXPECT_EQ(code.back().op, OpCode::kRet);
   int rets = 0;
-  for (int pc = 0; pc < program->num_instructions(); ++pc) {
-    const Instr& in = program->code()[pc];
+  for (const Instr& in : code) {
     if (in.op == OpCode::kRet) ++rets;
-    if (in.op == OpCode::kJump || in.op == OpCode::kJumpIfFalsy ||
-        in.op == OpCode::kJumpIfTruthy) {
-      // Jumps stay in bounds and only ever go forward: expression trees
-      // have no loops, so every program terminates by construction.
-      EXPECT_GT(in.b, pc);
-      EXPECT_LT(in.b, program->num_instructions());
-    }
   }
   EXPECT_EQ(rets, 1);
 }

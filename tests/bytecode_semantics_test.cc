@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <span>
 #include <string>
@@ -12,14 +11,17 @@
 #include "core/operator.h"
 #include "expr/bytecode.h"
 #include "expr/expression.h"
+#include "expr/simd.h"
 #include "query/builder.h"
 #include "query/parser.h"
 
 // Edge-case semantics pinned across BOTH evaluators: every assertion here
-// states what the tree interpreter does AND checks that the bytecode VM
-// does the bit-identical thing. If either evaluator drifts — NaN handling,
-// int<->double coercion, division by zero, null propagation, integer
-// wraparound — a test in this file fails before the fuzzer has to find it.
+// states what the tree interpreter does, and Both() checks that the
+// compiled program, run over the tuple as a one-row batch, reaches the
+// same predicate outcome at every SIMD tier. If either evaluator drifts —
+// NaN handling, int<->double coercion, division by zero, null
+// propagation, integer wraparound — a test in this file fails before the
+// fuzzer has to find it.
 
 namespace tpstream {
 namespace {
@@ -29,47 +31,30 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int64_t kIntMax = std::numeric_limits<int64_t>::max();
 constexpr int64_t kIntMin = std::numeric_limits<int64_t>::min();
 
-uint64_t DoubleBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-// Evaluates `expr` with both evaluators, asserts they agree bit-for-bit,
-// and returns the (shared) result for assertions about the semantics
-// themselves.
+// Evaluates `expr` with the interpreter, checks that the compiled program
+// agrees with EvalPredicate on a one-row batch at every SIMD tier this
+// machine supports, and returns the interpreter's Value for assertions
+// about the semantics themselves.
 Value Both(const ExprPtr& expr, const Tuple& tuple) {
   const Value interpreted = expr->Eval(tuple);
   auto compiled = CompilePredicate(*expr);
   EXPECT_TRUE(compiled.ok()) << compiled.status().message() << "\n  "
                              << expr->ToString();
   if (!compiled.ok()) return interpreted;
-  const Value vm = compiled.value()->Run(tuple);
-  EXPECT_EQ(interpreted.type(), vm.type())
-      << expr->ToString() << "\n" << compiled.value()->Disassemble();
-  if (interpreted.type() == vm.type()) {
-    switch (interpreted.type()) {
-      case ValueType::kNull:
-        break;
-      case ValueType::kInt:
-        EXPECT_EQ(interpreted.AsInt(), vm.AsInt()) << expr->ToString();
-        break;
-      case ValueType::kDouble:
-        EXPECT_EQ(DoubleBits(interpreted.AsDouble()),
-                  DoubleBits(vm.AsDouble()))
-            << expr->ToString();
-        break;
-      case ValueType::kBool:
-        EXPECT_EQ(interpreted.AsBool(), vm.AsBool()) << expr->ToString();
-        break;
-      case ValueType::kString:
-        EXPECT_EQ(interpreted.AsString(), vm.AsString()) << expr->ToString();
-        break;
-    }
+  const std::vector<Event> events = {Event(tuple, 1)};
+  ColumnarBatch batch;
+  batch.Assign(events, compiled.value()->referenced_fields());
+  const bool want = EvalPredicate(*expr, tuple);
+  for (int l = 0; l <= static_cast<int>(simd::BestSimdLevel()); ++l) {
+    ExecScratch scratch;
+    scratch.simd = static_cast<simd::SimdLevel>(l);
+    uint8_t got = 0xAA;
+    compiled.value()->RunPredicateColumn(batch, &scratch, &got);
+    EXPECT_EQ(want, got != 0)
+        << expr->ToString()
+        << " TPSTREAM_SIMD=" << simd::SimdLevelName(scratch.simd) << "\n"
+        << compiled.value()->Disassemble();
   }
-  EXPECT_EQ(EvalPredicate(*expr, tuple),
-            compiled.value()->RunPredicate(tuple))
-      << expr->ToString();
   return interpreted;
 }
 

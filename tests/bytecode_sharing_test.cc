@@ -213,11 +213,13 @@ TEST(BytecodeSharingTest, SharedProgramsProduceIsolatedIdenticalMatches) {
 
 TEST(BytecodeSharingTest, SimdOptionPlumbsThroughAndLevelsAgree) {
   // The `simd` option string reaches the executor (simd_level() reports
-  // the clamped tier), and a batch-driven deriver pinned to the scalar
-  // fallback derives the identical situation stream as one at the
-  // machine's best tier — over batch sizes that straddle the vector
-  // widths and the bitmap word so tail paths are on the measured path.
-  auto defs = [] {
+  // the clamped tier), and a batch-driven compiled deriver derives the
+  // interpreter's situation stream at every tier — over batch sizes that
+  // straddle the vector widths and the bitmap word, for 3 definitions
+  // (per-event program masks) and for 70 definitions with 70 distinct
+  // programs (past one mask word: the dense loop over the precomputed
+  // bits).
+  auto narrow = [] {
     std::vector<SituationDefinition> out;
     out.push_back(Def("A", Gt(FieldRef(0), Literal(50.0))));
     out.push_back(Def("B", Lt(FieldRef(1), Literal(30.0)), 3));
@@ -226,17 +228,30 @@ TEST(BytecodeSharingTest, SimdOptionPlumbsThroughAndLevelsAgree) {
                      Lt(FieldRef(0), Literal(90.0)))));
     return out;
   };
+  auto wide = [] {
+    std::vector<SituationDefinition> out;
+    for (int i = 0; i < 70; ++i) {
+      const ExprPtr threshold = Literal(1.4 * i);
+      out.push_back(Def("W" + std::to_string(i),
+                        i % 2 == 0 ? Gt(FieldRef(0), threshold)
+                                   : Lt(FieldRef(1), threshold),
+                        i % 5));
+    }
+    return out;
+  };
 
-  auto run = [&](const std::string& simd) {
+  using Log = std::vector<std::tuple<int, TimePoint, TimePoint>>;
+  auto run = [](std::vector<SituationDefinition> defs, bool compiled,
+                const std::string& simd) {
     DeriveOptions options;
-    options.compiled_predicates = true;
+    options.compiled_predicates = compiled;
     options.simd = simd;
-    Deriver deriver(defs(), /*announce_starts=*/true, /*metrics=*/nullptr,
-                    options);
-    EXPECT_STREQ(deriver.simd_level(),
-                 simd == "off" ? "off"
-                               : simd::SimdLevelName(simd::BestSimdLevel()));
-    std::vector<std::tuple<int, TimePoint, TimePoint>> log;
+    Deriver deriver(std::move(defs), /*announce_starts=*/true,
+                    /*metrics=*/nullptr, options);
+    EXPECT_EQ(deriver.num_compiled_programs() > 64,
+              compiled && deriver.num_definitions() > 64);
+    EXPECT_STREQ(deriver.simd_level(), compiled ? simd.c_str() : "off");
+    Log log;
     std::vector<Event> batch;
     uint64_t s = 11;
     TimePoint t = 1;
@@ -266,10 +281,16 @@ TEST(BytecodeSharingTest, SimdOptionPlumbsThroughAndLevelsAgree) {
     return log;
   };
 
-  const auto scalar = run("off");
-  const auto best = run("native");
-  EXPECT_FALSE(scalar.empty());
-  EXPECT_EQ(scalar, best);
+  for (const auto& defs : {narrow(), wide()}) {
+    const Log oracle = run(defs, /*compiled=*/false, "");
+    EXPECT_FALSE(oracle.empty());
+    for (int l = 0; l <= static_cast<int>(simd::BestSimdLevel()); ++l) {
+      const std::string level =
+          simd::SimdLevelName(static_cast<simd::SimdLevel>(l));
+      EXPECT_EQ(run(defs, /*compiled=*/true, level), oracle)
+          << defs.size() << " definitions at simd=" << level;
+    }
+  }
 }
 
 }  // namespace
