@@ -18,11 +18,10 @@
 // path doubles as a recovery correctness check; the JSON records it as
 // "restore_verified": 1.
 //
-// `--json=FILE` writes a "tpstream-bench-checkpoint-v1" document, the
-// input of cmake/check_bench_regression.cmake and the format of the
-// committed BENCH_checkpoint.json baseline. The gate enforces per-run
-// throughput floors, a pause-p99 bound, a bytes-per-checkpoint ceiling,
-// and that restore_verified is set in the fresh document.
+// `--json=FILE` writes the "checkpoint" bench record, gated against the
+// committed BENCH_checkpoint.json by cmake/check_bench_regression.cmake:
+// per-run throughput floors, a pause-p99 bound, a bytes-per-checkpoint
+// ceiling, and restore_verified = 1 in the fresh record.
 
 #include <algorithm>
 #include <chrono>
@@ -179,43 +178,32 @@ RunResult Run(const std::string& name, Engine& engine, Engine& recovered,
   return r;
 }
 
-bool WriteJson(const std::string& path, const std::vector<RunResult>& runs) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
+/// Checkpoint size may at most double, plus 4 KiB so a near-empty
+/// operator's tiny baseline still admits growth.
+constexpr int kBytesCeilingPct = 200;
+constexpr double kBytesSlack = 4096;
+
+bool WriteRecord(const std::string& path, const std::vector<RunResult>& runs) {
+  BenchRecord rec("checkpoint");
+  for (const RunResult& r : runs) {
+    rec.Set(r.name, "events", r.events);
+    rec.Set(r.name, "matches", r.matches);
+    rec.Set(r.name, "checkpoints", r.checkpoints);
+    rec.Set(r.name, "events_per_sec", r.events_per_sec);
+    rec.Set(r.name, "bytes_per_checkpoint", r.bytes_per_checkpoint);
+    rec.Set(r.name, "restore_verified", r.restore_verified);
+    rec.Set(r.name, "pause_ns.p50", r.pause_p50);
+    rec.Set(r.name, "pause_ns.p95", r.pause_p95);
+    rec.Set(r.name, "pause_ns.p99", r.pause_p99);
+    rec.Set(r.name, "pause_ns.max", r.pause_max);
+    rec.Floor(r.name, "events_per_sec", kThroughputFloorPct);
+    rec.Ceiling(r.name, "pause_ns.p99", kP99CeilingPct, 0);
+    rec.Ceiling(r.name, "bytes_per_checkpoint", kBytesCeilingPct, kBytesSlack);
+    rec.Check({.name = "restore differential passed",
+               .value = {r.name, "restore_verified"},
+               .min_pct = 100, .max_pct = 100});
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"tpstream-bench-checkpoint-v1\",\n"
-               "  \"runs\": {\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    std::fprintf(f,
-                 "    \"%s\": {\n"
-                 "      \"events\": %lld,\n"
-                 "      \"matches\": %lld,\n"
-                 "      \"checkpoints\": %lld,\n"
-                 "      \"events_per_sec\": %.1f,\n"
-                 "      \"bytes_per_checkpoint\": %.1f,\n"
-                 "      \"restore_verified\": %d,\n"
-                 "      \"pause_ns\": {\n"
-                 "        \"p50\": %.0f,\n"
-                 "        \"p95\": %.0f,\n"
-                 "        \"p99\": %.0f,\n"
-                 "        \"max\": %.0f\n"
-                 "      }\n"
-                 "    }%s\n",
-                 r.name.c_str(), static_cast<long long>(r.events),
-                 static_cast<long long>(r.matches),
-                 static_cast<long long>(r.checkpoints), r.events_per_sec,
-                 r.bytes_per_checkpoint, r.restore_verified ? 1 : 0,
-                 r.pause_p50, r.pause_p95, r.pause_p99, r.pause_max,
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  return true;
+  return rec.Write(path);
 }
 
 int Main(int argc, char** argv) {
@@ -268,9 +256,7 @@ int Main(int argc, char** argv) {
   }
   if (!verified) return 1;
 
-  const std::string json = flags.GetString("json", "");
-  if (!json.empty() && !WriteJson(json, runs)) return 1;
-  return 0;
+  return WriteRecord(flags.GetString("json", ""), runs) ? 0 : 1;
 }
 
 }  // namespace

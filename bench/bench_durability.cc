@@ -22,13 +22,12 @@
 // bench (exit 1); the JSON records it per run as "replay_verified" /
 // "restore_verified".
 //
-// `--json=FILE` writes a "tpstream-bench-durability-v1" document, the
-// input of cmake/check_bench_regression.cmake and the format of the
-// committed BENCH_durability.json baseline. The gate enforces per-run
-// throughput floors, the fsync accounting of the sync policies (one
-// barrier per record vs actual grouping), the verified flags, and the
-// headline incremental invariant: mean delta bytes must stay under half
-// the mean full-snapshot bytes.
+// `--json=FILE` writes the "durability" bench record, gated against the
+// committed BENCH_durability.json by cmake/check_bench_regression.cmake:
+// per-run throughput floors, the fsync accounting of the sync policies
+// (one barrier per record vs actual grouping), the verified flags, and
+// the headline incremental invariant that mean delta bytes stay under
+// half the mean full-snapshot bytes.
 
 #include <algorithm>
 #include <chrono>
@@ -420,63 +419,56 @@ RunResult RunIncremental(const std::string& name,
   return r;
 }
 
-bool WriteJson(const std::string& path, const std::vector<RunResult>& runs) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"tpstream-bench-durability-v1\",\n"
-               "  \"runs\": {\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    std::fprintf(f,
-                 "    \"%s\": {\n"
-                 "      \"events\": %lld,\n"
-                 "      \"events_per_sec\": %.1f,\n",
-                 r.name.c_str(), static_cast<long long>(r.events),
-                 r.events_per_sec);
+/// Mean delta bytes stay under half the mean full-snapshot bytes.
+constexpr int kDeltaOverFullMaxPct = 50;
+
+bool WriteRecord(const std::string& path, const std::vector<RunResult>& runs) {
+  BenchRecord rec("durability");
+  for (const RunResult& r : runs) {
+    const std::string& n = r.name;
+    rec.Set(n, "events", r.events);
+    rec.Set(n, "events_per_sec", r.events_per_sec);
+    rec.Floor(n, "events_per_sec", kThroughputFloorPct);
+    const char* verified =
+        r.kind == RunResult::kIncremental ? "restore_verified"
+                                          : "replay_verified";
     switch (r.kind) {
       case RunResult::kAppend:
-        std::fprintf(f,
-                     "      \"batches\": %lld,\n"
-                     "      \"fsyncs\": %lld,\n"
-                     "      \"appended_bytes\": %lld,\n"
-                     "      \"replay_verified\": %d\n",
-                     static_cast<long long>(r.batches),
-                     static_cast<long long>(r.fsyncs),
-                     static_cast<long long>(r.appended_bytes),
-                     r.verified ? 1 : 0);
+        rec.Set(n, "batches", r.batches);
+        rec.Set(n, "fsyncs", r.fsyncs);
+        rec.Set(n, "appended_bytes", r.appended_bytes);
         break;
       case RunResult::kRecovery:
-        std::fprintf(f,
-                     "      \"recovery_ms\": %.3f,\n"
-                     "      \"replayed_events\": %lld,\n"
-                     "      \"replay_verified\": %d\n",
-                     r.recovery_ms, static_cast<long long>(r.replayed_events),
-                     r.verified ? 1 : 0);
+        rec.Set(n, "recovery_ms", r.recovery_ms);
+        rec.Set(n, "replayed_events", r.replayed_events);
         break;
       case RunResult::kIncremental:
-        std::fprintf(f,
-                     "      \"checkpoints\": %lld,\n"
-                     "      \"full_checkpoints\": %lld,\n"
-                     "      \"delta_checkpoints\": %lld,\n"
-                     "      \"bytes_per_full\": %.1f,\n"
-                     "      \"bytes_per_delta\": %.1f,\n"
-                     "      \"restore_verified\": %d\n",
-                     static_cast<long long>(r.checkpoints),
-                     static_cast<long long>(r.full_checkpoints),
-                     static_cast<long long>(r.delta_checkpoints),
-                     r.bytes_per_full, r.bytes_per_delta, r.verified ? 1 : 0);
+        rec.Set(n, "checkpoints", r.checkpoints);
+        rec.Set(n, "full_checkpoints", r.full_checkpoints);
+        rec.Set(n, "delta_checkpoints", r.delta_checkpoints);
+        rec.Set(n, "bytes_per_full", r.bytes_per_full);
+        rec.Set(n, "bytes_per_delta", r.bytes_per_delta);
+        rec.Check({.name = "deltas stay under half a full snapshot",
+                   .value = {n, "bytes_per_delta"},
+                   .over = {n, "bytes_per_full"},
+                   .max_pct = kDeltaOverFullMaxPct});
+        rec.Check({.name = "full snapshots are non-empty",
+                   .value = {n, "bytes_per_full"}, .min_pct = 100});
         break;
     }
-    std::fprintf(f, "    }%s\n", i + 1 < runs.size() ? "," : "");
+    rec.Set(n, verified, r.verified);
+    rec.Check({.name = std::string(verified) + " differential passed",
+               .value = {n, verified}, .min_pct = 100, .max_pct = 100});
   }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  return true;
+  // The sync policies' fsync accounting: kEveryRecord issues a barrier
+  // per record; kEveryBytes groups commits (<= 1 barrier per 2 records).
+  rec.Check({.name = "kEveryRecord barrier per record",
+             .value = {"append.every_record", "fsyncs"},
+             .over = {"append.every_record", "batches"}, .min_pct = 100});
+  rec.Check({.name = "kEveryBytes groups commits",
+             .value = {"append.every_64k", "fsyncs"},
+             .over = {"append.every_64k", "batches"}, .max_pct = 50});
+  return rec.Write(path);
 }
 
 int Main(int argc, char** argv) {
@@ -543,9 +535,7 @@ int Main(int argc, char** argv) {
   }
   if (!verified) return 1;
 
-  const std::string json = flags.GetString("json", "");
-  if (!json.empty() && !WriteJson(json, runs)) return 1;
-  return 0;
+  return WriteRecord(flags.GetString("json", ""), runs) ? 0 : 1;
 }
 
 }  // namespace

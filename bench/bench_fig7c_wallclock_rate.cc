@@ -7,10 +7,10 @@
 // where ISEQ's event latency dominates and TPStream introduces none.
 // Flags: --events=N --window=SECONDS --metrics-json=FILE
 //
-// `--ingest-json=FILE` skips the latency experiment and instead measures
+// `--json=FILE` skips the latency experiment and instead measures
 // steady-state ingestion of the same disconnected pattern at max rate,
-// emitting a "tpstream-bench-ingest-v1" document (run "fig7c_push") for
-// cmake/check_bench_regression.cmake.
+// writing the "ingest" bench record (run "fig7c_push") that CI gates
+// against BENCH_ingest.json (cmake/check_bench_regression.cmake).
 #include <utility>
 #include <vector>
 
@@ -37,12 +37,12 @@ int RunIngest(const Flags& flags) {
       MeasureIngest(op, gen, flags.GetInt("warmup", 50000), events,
                     flags.GetInt("latency-events", 200000)));
   PrintIngestLine("fig7c_push", runs.back().second);
-  return WriteIngestJson(flags.GetString("ingest-json", ""), runs) ? 0 : 1;
+  return WriteIngestRecord(flags.GetString("json", ""), runs) ? 0 : 1;
 }
 
 int Run(int argc, char** argv) {
   const Flags flags(argc, argv);
-  if (flags.Has("ingest-json")) return RunIngest(flags);
+  if (flags.Has("json")) return RunIngest(flags);
   const int64_t events = flags.GetInt("events", 1000000);
   const Duration window = flags.GetInt("window", 100000);
 

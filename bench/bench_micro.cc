@@ -7,11 +7,11 @@
 // workload, dumping the registry snapshot as JSON — the smoke input for
 // cmake/check_metrics_json.cmake in CI.
 //
-// `--ingest-json=FILE` likewise skips the benchmarks and measures
-// steady-state sequential ingestion (per-event Push and PushBatch) on the
-// allocation-free profile, emitting a "tpstream-bench-ingest-v1" JSON
-// document that CI compares against the committed BENCH_ingest.json via
-// cmake/check_bench_regression.cmake. Optional knobs: --events=N
+// `--json=FILE` likewise skips the benchmarks and measures steady-state
+// sequential ingestion (per-event Push and PushBatch) on the
+// allocation-free profile, writing the "ingest" bench record that CI
+// gates against the committed BENCH_ingest.json
+// (cmake/check_bench_regression.cmake). Optional knobs: --events=N
 // --warmup=N --latency-events=N.
 #include <benchmark/benchmark.h>
 
@@ -210,19 +210,17 @@ int RunIngestBench(const bench::Flags& flags) {
   for (const auto& [name, m] : runs) {
     bench::PrintIngestLine(name.c_str(), m);
   }
-  return bench::WriteIngestJson(flags.GetString("ingest-json", ""), runs)
-             ? 0
-             : 1;
+  return bench::WriteIngestRecord(flags.GetString("json", ""), runs) ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace tpstream
 
 int main(int argc, char** argv) {
-  // Intercept --metrics-json / --ingest-json before benchmark::Initialize
+  // Intercept --metrics-json / --json before benchmark::Initialize
   // (which rejects flags it does not know).
   const tpstream::bench::Flags flags(argc, argv);
-  if (flags.Has("ingest-json")) return tpstream::RunIngestBench(flags);
+  if (flags.Has("json")) return tpstream::RunIngestBench(flags);
   constexpr const char kFlag[] = "--metrics-json=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {

@@ -13,12 +13,11 @@
 // stronger byte-identical guarantee; here it guards the measured code
 // path).
 //
-// `--json=FILE` writes a "tpstream-bench-multiquery-v1" document, the
-// input of cmake/check_bench_regression.cmake and the format of the
-// committed BENCH_multiquery.json baseline. The regression gate enforces
-// per-run throughput floors plus the headline invariant: at N = 10000
-// identical queries the shared engine must sustain >= 5x the unshared
-// events/sec.
+// `--json=FILE` writes the "multiquery" bench record, gated against the
+// committed BENCH_multiquery.json by cmake/check_bench_regression.cmake:
+// per-run throughput floors plus the headline invariant that at
+// N = 10000 identical queries the shared engine sustains >= 5x the
+// unshared events/sec.
 
 #include <chrono>
 #include <cstdint>
@@ -119,7 +118,6 @@ struct RunResult {
   int64_t matches_q0 = 0;
   int distinct_definitions = 0;
   bool extrapolated = false;
-  std::string extrapolated_from;
 };
 
 RunResult RunShared(const std::string& name,
@@ -195,40 +193,27 @@ RunResult RunUnshared(const std::string& name,
   return r;
 }
 
-bool WriteJson(const std::string& path, const std::vector<RunResult>& runs) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
+/// The headline sharing floor: at N = 10000 identical queries the shared
+/// engine sustains >= 5x the unshared events/sec.
+constexpr int kSharingFloorPct = 500;
+
+bool WriteRecord(const std::string& path, const std::vector<RunResult>& runs) {
+  BenchRecord rec("multiquery");
+  for (const RunResult& r : runs) {
+    rec.Set(r.name, "queries", r.queries);
+    rec.Set(r.name, "events", r.events);
+    rec.Set(r.name, "elapsed_s", r.elapsed_s);
+    rec.Set(r.name, "events_per_sec", r.events_per_sec);
+    rec.Set(r.name, "matches_per_query", r.matches_q0);
+    rec.Set(r.name, "distinct_definitions", r.distinct_definitions);
+    rec.Set(r.name, "extrapolated", r.extrapolated);
+    rec.Floor(r.name, "events_per_sec", kThroughputFloorPct);
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"tpstream-bench-multiquery-v1\",\n"
-               "  \"runs\": {\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    std::fprintf(
-        f,
-        "    \"%s\": {\n"
-        "      \"queries\": %d,\n"
-        "      \"events\": %lld,\n"
-        "      \"elapsed_s\": %.6f,\n"
-        "      \"events_per_sec\": %.1f,\n"
-        "      \"matches_per_query\": %lld,\n"
-        "      \"distinct_definitions\": %d,\n"
-        "      \"extrapolated\": %s%s%s%s\n"
-        "    }%s\n",
-        r.name.c_str(), r.queries, static_cast<long long>(r.events),
-        r.elapsed_s, r.events_per_sec,
-        static_cast<long long>(r.matches_q0), r.distinct_definitions,
-        r.extrapolated ? "true" : "false",
-        r.extrapolated ? ",\n      \"extrapolated_from\": \"" : "",
-        r.extrapolated ? r.extrapolated_from.c_str() : "",
-        r.extrapolated ? "\"" : "", i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  return true;
+  rec.Check({.name = "sharing floor",
+             .value = {"n10000.identical.shared", "events_per_sec"},
+             .over = {"n10000.identical.unshared", "events_per_sec"},
+             .min_pct = kSharingFloorPct});
+  return rec.Write(path);
 }
 
 int Main(int argc, char** argv) {
@@ -284,7 +269,6 @@ int Main(int argc, char** argv) {
     r.matches_q0 = base.matches_q0;
     r.distinct_definitions = 10000 * 3;
     r.extrapolated = true;
-    r.extrapolated_from = base.name;
     report(std::move(r));
   }
 
@@ -294,9 +278,7 @@ int Main(int argc, char** argv) {
               "(extrapolated) — %.1fx\n",
               shared_eps, unshared_eps, shared_eps / unshared_eps);
 
-  const std::string json = flags.GetString("json", "");
-  if (!json.empty() && !WriteJson(json, runs)) return 1;
-  return 0;
+  return WriteRecord(flags.GetString("json", ""), runs) ? 0 : 1;
 }
 
 }  // namespace

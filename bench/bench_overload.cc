@@ -13,11 +13,10 @@
 // nothing is shed); under the drop policies push latency stays bounded
 // by the shed-spin budget and the excess is shed and counted.
 //
-// `--json=FILE` writes a "tpstream-bench-overload-v1" document, the
-// input of cmake/check_bench_regression.cmake and the format of the
-// committed BENCH_overload.json baseline. The gate enforces that kBlock
-// sheds nothing and that the drop policies' push p99 stays bounded
-// relative to the baseline.
+// `--json=FILE` writes the "overload" bench record, gated against the
+// committed BENCH_overload.json by cmake/check_bench_regression.cmake:
+// kBlock sheds nothing, every shed batch is quarantined exactly once, and
+// the drop policies' push p99 stays bounded relative to the baseline.
 
 #include <chrono>
 #include <cstdint>
@@ -25,7 +24,6 @@
 #include <cstdlib>
 #include <random>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -196,54 +194,46 @@ OverloadMeasurement RunPolicy(const QuerySpec& spec, const Flags& flags,
   return m;
 }
 
-bool WriteOverloadJson(
-    const std::string& path, int cpus, double capacity_eps,
+/// The Degradation contract as gates and invariants: throughput holds,
+/// the drop policies' push p99 stays bounded (kBlock turns overload into
+/// push latency by design, so it has no p99 gate), kBlock is lossless,
+/// every shed batch reaches the dead-letter sink exactly once, and
+/// kDropOldest actually sheds at the offered load (else the bench no
+/// longer overloads the operator and every number is vacuous).
+bool WriteRecord(
+    const std::string& path, double capacity_eps,
     const std::vector<std::pair<std::string, OverloadMeasurement>>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
+  BenchRecord rec("overload");
+  for (const auto& [name, m] : runs) {
+    rec.Set(name, "capacity_eps", capacity_eps);
+    rec.Set(name, "events", m.events);
+    rec.Set(name, "elapsed_s", m.elapsed_s);
+    rec.Set(name, "events_per_sec", m.events_per_sec);
+    rec.Set(name, "offered_eps", m.offered_eps);
+    rec.Set(name, "matches", m.matches);
+    rec.Set(name, "shed_batches", m.shed_batches);
+    rec.Set(name, "shed_events", m.shed_events);
+    rec.Set(name, "drop_oldest_fallback", m.drop_oldest_fallback);
+    rec.Set(name, "ring_full", m.ring_full);
+    rec.Set(name, "quarantined", m.quarantined);
+    rec.SetHistogram(name, "push_ns", m.push_ns);
+    rec.Floor(name, "events_per_sec", kThroughputFloorPct);
+    if (name == "block") {
+      rec.Check({.name = "kBlock sheds nothing",
+                 .value = {name, "shed_events"}, .max_pct = 0});
+      rec.Check({.name = "kBlock quarantines nothing",
+                 .value = {name, "quarantined"}, .max_pct = 0});
+      continue;
+    }
+    rec.Ceiling(name, "push_ns.p99", kP99CeilingPct, 0);
+    rec.Check({.name = "every shed batch quarantined once",
+               .value = {name, "quarantined"},
+               .over = {name, "shed_batches"},
+               .min_pct = 100, .max_pct = 100});
   }
-  std::fprintf(f,
-               "{\n  \"schema\": \"tpstream-bench-overload-v1\",\n"
-               "  \"cpus\": %d,\n  \"capacity_eps\": %.1f,\n  \"runs\": {\n",
-               cpus, capacity_eps);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const OverloadMeasurement& m = runs[i].second;
-    std::fprintf(
-        f,
-        "    \"%s\": {\n"
-        "      \"events\": %lld,\n"
-        "      \"elapsed_s\": %.6f,\n"
-        "      \"events_per_sec\": %.1f,\n"
-        "      \"offered_eps\": %.1f,\n"
-        "      \"matches\": %lld,\n"
-        "      \"shed_batches\": %lld,\n"
-        "      \"shed_events\": %lld,\n"
-        "      \"drop_oldest_fallback\": %lld,\n"
-        "      \"ring_full\": %lld,\n"
-        "      \"quarantined\": %lld,\n"
-        "      \"push_ns\": {\"count\": %lld, \"p50\": %lld, \"p95\": %lld, "
-        "\"p99\": %lld, \"max\": %lld}\n"
-        "    }%s\n",
-        runs[i].first.c_str(), static_cast<long long>(m.events), m.elapsed_s,
-        m.events_per_sec, m.offered_eps, static_cast<long long>(m.matches),
-        static_cast<long long>(m.shed_batches),
-        static_cast<long long>(m.shed_events),
-        static_cast<long long>(m.drop_oldest_fallback),
-        static_cast<long long>(m.ring_full),
-        static_cast<long long>(m.quarantined),
-        static_cast<long long>(m.push_ns.count),
-        static_cast<long long>(m.push_ns.Quantile(50)),
-        static_cast<long long>(m.push_ns.Quantile(95)),
-        static_cast<long long>(m.push_ns.Quantile(99)),
-        static_cast<long long>(m.push_ns.max),
-        i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("# overload JSON written to %s\n", path.c_str());
-  return true;
+  rec.Check({.name = "kDropOldest sheds under overload",
+             .value = {"drop_oldest", "shed_events"}, .min_pct = 100});
+  return rec.Write(path);
 }
 
 int Main(int argc, char** argv) {
@@ -312,13 +302,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  const std::string json = flags.GetString("json", "");
-  if (!json.empty()) {
-    const int cpus =
-        static_cast<int>(std::thread::hardware_concurrency());
-    if (!WriteOverloadJson(json, cpus, capacity_eps, runs)) return 1;
-  }
-  return 0;
+  return WriteRecord(flags.GetString("json", ""), capacity_eps, runs) ? 0
+                                                                        : 1;
 }
 
 }  // namespace

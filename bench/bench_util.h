@@ -1,17 +1,26 @@
 #ifndef TPSTREAM_BENCH_BENCH_UTIL_H_
 #define TPSTREAM_BENCH_BENCH_UTIL_H_
 
+#include <sched.h>
+
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/query_spec.h"
+#include "expr/simd.h"
 #include "obs/metrics.h"
 #include "query/builder.h"
 #include "workload/linear_road.h"
@@ -87,6 +96,170 @@ inline bool MaybeWriteMetricsJson(const Flags& flags,
   std::printf("# metrics JSON written to %s\n", path.c_str());
   return true;
 }
+
+/// Shared regression thresholds of the bench gate
+/// (cmake/check_bench_regression.cmake). They are generous on purpose:
+/// shared CI machines are noisy, so the gate catches regressions (an
+/// allocation back on the hot path, a 2x slowdown, a collapsed hand-off),
+/// not variance. A bench-specific floor lives in the bench that states it.
+inline constexpr int kThroughputFloorPct = 70;      // evt/s: at most -30%
+inline constexpr double kAllocSlackPerEvent = 0.5;  // alloc/event: +0.5
+inline constexpr int kP99CeilingPct = 500;          // latency p99: 5x
+inline constexpr int kRingFullCeilingPct = 500;     // ring_full: 5x ...
+inline constexpr double kRingFullSlack = 1000;      // ... + 1000
+
+/// CPUs this process may run on: the affinity mask (taskset, cpusets)
+/// where the platform has one, else hardware_concurrency().
+inline int UsableCpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return CPU_COUNT(&set);
+  }
+#endif
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// One bench result in the `tpstream-bench-v3` format, the only format
+/// cmake/check_bench_regression.cmake reads. A record holds flat numeric
+/// metrics per run (nested values are flattened, e.g. "push_ns.p99") plus
+/// every check the gate applies to it, so the pass rule of a bench lives
+/// in the bench alone:
+///  - gates compare a fresh metric with the committed baseline's:
+///    a floor passes when fresh >= base * pct/100, a ceiling when
+///    fresh <= base * pct/100 + slack;
+///  - invariants check the fresh document alone: one metric, or the
+///    ratio of two, times 100 against an integer-percent min and/or max.
+///    An invariant that does not apply on this machine carries a `skip`
+///    reason instead of a verdict.
+class BenchRecord {
+ public:
+  struct MetricRef {
+    std::string run;
+    std::string metric;
+  };
+  // Default member initializers let callers name only the fields they
+  // set ({.name = ..., .value = ..., .max_pct = 0}) without -Wextra noise.
+  struct Invariant {
+    std::string name = {};
+    MetricRef value = {};
+    MetricRef over = {};  // ratio denominator; empty run: `value` alone
+    std::optional<int> min_pct = {};
+    std::optional<int> max_pct = {};
+    std::string skip = {};  // non-empty: not evaluated here, and why
+  };
+
+  explicit BenchRecord(std::string bench) : bench_(std::move(bench)) {}
+
+  int cpus = UsableCpus();  // of the measuring process
+  /// SIMD tier the columnar kernels dispatch to.
+  std::string simd_level = simd::SimdLevelName(simd::DefaultSimdLevel());
+
+  /// Sets `run`.`metric`; runs and metrics keep their insertion order.
+  template <typename T>
+  void Set(const std::string& run, const std::string& metric, T value) {
+    static_assert(std::is_arithmetic_v<T>, "metrics are numbers");
+    auto it = std::find_if(runs_.begin(), runs_.end(),
+                           [&](const auto& r) { return r.first == run; });
+    if (it == runs_.end()) it = runs_.insert(runs_.end(), {run, {}});
+    it->second.emplace_back(metric, static_cast<double>(value));
+  }
+  /// Flattens a latency histogram into `prefix`.{count,p50,p95,p99,max}.
+  void SetHistogram(const std::string& run, const std::string& prefix,
+                    const obs::HistogramSnapshot& h) {
+    Set(run, prefix + ".count", h.count);
+    for (const int q : {50, 95, 99}) {
+      Set(run, prefix + ".p" + std::to_string(q), h.Quantile(q));
+    }
+    Set(run, prefix + ".max", h.max);
+  }
+
+  void Floor(const std::string& run, const std::string& metric, int pct) {
+    gates_.push_back("{\"run\": " + Quote(run) + ", \"metric\": " +
+                     Quote(metric) +
+                     ", \"floor_pct\": " + std::to_string(pct) + "}");
+  }
+  void Ceiling(const std::string& run, const std::string& metric, int pct,
+               double slack) {
+    gates_.push_back("{\"run\": " + Quote(run) + ", \"metric\": " +
+                     Quote(metric) + ", \"ceiling_pct\": " +
+                     std::to_string(pct) + ", \"slack\": " + Number(slack) +
+                     "}");
+  }
+  void Check(const Invariant& inv) {
+    auto ref = [](const MetricRef& m) {
+      return "[" + Quote(m.run) + ", " + Quote(m.metric) + "]";
+    };
+    std::string json = "{\"name\": " + Quote(inv.name) +
+                       ", \"value\": " + ref(inv.value);
+    if (!inv.over.run.empty()) json += ", \"over\": " + ref(inv.over);
+    if (inv.min_pct) json += ", \"min_pct\": " + std::to_string(*inv.min_pct);
+    if (inv.max_pct) json += ", \"max_pct\": " + std::to_string(*inv.max_pct);
+    if (!inv.skip.empty()) json += ", \"skip\": " + Quote(inv.skip);
+    invariants_.push_back(json + "}");
+  }
+
+  /// Writes the record to `path` (no-op success when empty).
+  bool Write(const std::string& path) const {
+    if (path.empty()) return true;
+    std::string out = "{\n  \"schema\": \"tpstream-bench-v3\",\n"
+                      "  \"bench\": " + Quote(bench_) +
+                      ",\n  \"cpus\": " + std::to_string(cpus) +
+                      ",\n  \"simd_level\": " + Quote(simd_level) +
+                      ",\n  \"runs\": {";
+    for (size_t i = 0; i < runs_.size(); ++i) {
+      out += (i == 0 ? "\n    " : ",\n    ") + Quote(runs_[i].first) + ": {";
+      const auto& metrics = runs_[i].second;
+      for (size_t j = 0; j < metrics.size(); ++j) {
+        out += (j == 0 ? "\n      " : ",\n      ") + Quote(metrics[j].first) +
+               ": " + Number(metrics[j].second);
+      }
+      out += "\n    }";
+    }
+    out += "\n  },\n  \"gates\": [" + JoinLines(gates_) +
+           "],\n  \"invariants\": [" + JoinLines(invariants_) + "]\n}\n";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+      return false;
+    }
+    const bool written = std::fwrite(out.data(), 1, out.size(), f) ==
+                         out.size();
+    if (std::fclose(f) != 0 || !written) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
+    std::printf("# %s record written to %s\n", bench_.c_str(), path.c_str());
+    return true;
+  }
+
+ private:
+  static std::string Quote(const std::string& s) { return "\"" + s + "\""; }
+  /// Shortest round-trip decimal, never exponent notation; JSON has no
+  /// NaN/inf, so those become null (which the gate rejects).
+  static std::string Number(double v) {
+    if (!std::isfinite(v)) return "null";
+    char buf[512];
+    const auto res =
+        std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed);
+    return std::string(buf, res.ptr);
+  }
+  static std::string JoinLines(const std::vector<std::string>& items) {
+    std::string out;
+    for (size_t i = 0; i < items.size(); ++i) {
+      out += (i == 0 ? "\n    " : ",\n    ") + items[i];
+    }
+    return items.empty() ? out : out + "\n  ";
+  }
+
+  std::string bench_;
+  std::vector<std::pair<std::string,
+                        std::vector<std::pair<std::string, double>>>>
+      runs_;
+  std::vector<std::string> gates_;
+  std::vector<std::string> invariants_;
+};
 
 inline double NowMs() {
   return std::chrono::duration<double, std::milli>(

@@ -54,8 +54,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace tpstream {
 namespace bench {
 
-/// One steady-state ingestion measurement (schema
-/// "tpstream-bench-ingest-v1", see EXPERIMENTS.md).
+/// One steady-state ingestion measurement (see EXPERIMENTS.md).
 struct IngestMeasurement {
   int64_t events = 0;         // measured events (throughput pass)
   int64_t warmup_events = 0;  // events pushed before measuring
@@ -152,49 +151,27 @@ inline void PrintIngestLine(const char* label, const IngestMeasurement& m) {
       static_cast<long long>(m.push_ns.max));
 }
 
-/// Writes the named runs as a "tpstream-bench-ingest-v1" JSON document —
-/// the input of cmake/check_bench_regression.cmake and the format of the
-/// committed BENCH_ingest.json baseline.
-inline bool WriteIngestJson(
+/// Writes the named runs as the "ingest" bench record behind the
+/// committed BENCH_ingest.json, each gated on throughput, allocations
+/// per event and push p99.
+inline bool WriteIngestRecord(
     const std::string& path,
     const std::vector<std::pair<std::string, IngestMeasurement>>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
+  BenchRecord rec("ingest");
+  for (const auto& [name, m] : runs) {
+    rec.Set(name, "events", m.events);
+    rec.Set(name, "warmup_events", m.warmup_events);
+    rec.Set(name, "elapsed_s", m.elapsed_s);
+    rec.Set(name, "events_per_sec", m.events_per_sec);
+    rec.Set(name, "allocations", m.allocations);
+    rec.Set(name, "allocations_per_event", m.allocations_per_event);
+    rec.Set(name, "matches", m.matches);
+    rec.SetHistogram(name, "push_ns", m.push_ns);
+    rec.Floor(name, "events_per_sec", kThroughputFloorPct);
+    rec.Ceiling(name, "allocations_per_event", 100, kAllocSlackPerEvent);
+    rec.Ceiling(name, "push_ns.p99", kP99CeilingPct, 0);
   }
-  std::fprintf(f, "{\n  \"schema\": \"tpstream-bench-ingest-v1\",\n"
-                  "  \"runs\": {\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const IngestMeasurement& m = runs[i].second;
-    std::fprintf(
-        f,
-        "    \"%s\": {\n"
-        "      \"events\": %lld,\n"
-        "      \"warmup_events\": %lld,\n"
-        "      \"elapsed_s\": %.6f,\n"
-        "      \"events_per_sec\": %.1f,\n"
-        "      \"allocations\": %lld,\n"
-        "      \"allocations_per_event\": %.6f,\n"
-        "      \"matches\": %lld,\n"
-        "      \"push_ns\": {\"count\": %lld, \"p50\": %lld, \"p95\": %lld, "
-        "\"p99\": %lld, \"max\": %lld}\n"
-        "    }%s\n",
-        runs[i].first.c_str(), static_cast<long long>(m.events),
-        static_cast<long long>(m.warmup_events), m.elapsed_s,
-        m.events_per_sec, static_cast<long long>(m.allocations),
-        m.allocations_per_event, static_cast<long long>(m.matches),
-        static_cast<long long>(m.push_ns.count),
-        static_cast<long long>(m.push_ns.Quantile(50)),
-        static_cast<long long>(m.push_ns.Quantile(95)),
-        static_cast<long long>(m.push_ns.Quantile(99)),
-        static_cast<long long>(m.push_ns.max),
-        i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("# ingest JSON written to %s\n", path.c_str());
-  return true;
+  return rec.Write(path);
 }
 
 }  // namespace bench

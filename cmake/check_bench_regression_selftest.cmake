@@ -1,25 +1,8 @@
 # Self-test for cmake/check_bench_regression.cmake, run as a ctest entry
-# (tests/CMakeLists.txt). The gate guards every committed perf baseline,
-# so its own number parsing and threshold arithmetic are pinned here with
-# crafted documents:
-#
-#   * a scientific-notation baseline ("1.5e3") must parse as 1500, not
-#     1000 — the historical to_micro bug dropped the mantissa fraction,
-#     silently loosening any gate fed such a baseline
-#   * a sub-milli baseline (0.0005 evt/s) must still gate — the
-#     historical "/ 1000 * 100" integer form truncated both sides to
-#     zero, making the comparison vacuously pass
-#   * a zero baseline p99 must skip the latency gate (no divide, no
-#     spurious failure) and a zero bytes baseline must still admit the
-#     absolute slack
-#   * restore_verified = 0 must fail on its own
-#   * an unchanged document must pass
-#   * the compiled-v2 ablation floor must switch on the fresh document's
-#     simd_level: 4x when the batch run dispatched SIMD kernels, 2x on
-#     scalar-fallback machines
-#   * the durability invariants (replay/restore verified flags, the
-#     sync-policy fsync accounting, the delta-vs-full byte ratio) must
-#     each gate from the fresh document alone
+# (tests/CMakeLists.txt): crafted tpstream-bench-v3 records pin the
+# gate's number parsing, threshold arithmetic, missing-input failures and
+# contract check, and every committed BENCH_*.json must pass against
+# itself with each declared invariant evaluated or explicitly skipped.
 #
 # Usage:
 #   cmake -DGATE_SCRIPT=<check_bench_regression.cmake> -DWORK_DIR=<dir> \
@@ -31,230 +14,164 @@ if(NOT GATE_SCRIPT OR NOT WORK_DIR)
 endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-# Writes a single-run tpstream-bench-checkpoint-v1 document.
-function(write_doc path eps bpc rv p99)
-  file(WRITE "${path}" "{
-  \"schema\": \"tpstream-bench-checkpoint-v1\",
-  \"runs\": {
-    \"operator.steady\": {
-      \"events\": 1000,
-      \"matches\": 10,
-      \"checkpoints\": 4,
-      \"events_per_sec\": ${eps},
-      \"bytes_per_checkpoint\": ${bpc},
-      \"restore_verified\": ${rv},
-      \"pause_ns\": {
-        \"p50\": 1,
-        \"p95\": ${p99},
-        \"p99\": ${p99},
-        \"max\": ${p99}
-      }
-    }
-  }
-}
-")
+# Writes WORK_DIR/<name>.json: run "r" with <metrics>, plus the given
+# gate and invariant lists, recorded on a machine with ${CPUS} CPUs.
+set(CPUS 1)
+function(record name metrics gates invariants)
+  file(WRITE "${WORK_DIR}/${name}.json" "{\"schema\": \"tpstream-bench-v3\",
+  \"bench\": \"selftest\", \"cpus\": ${CPUS}, \"simd_level\": \"off\",
+  \"runs\": {\"r\": {${metrics}}},
+  \"gates\": [${gates}], \"invariants\": [${invariants}]}")
 endfunction()
 
-set(selftest_failures 0)
-
-# Runs the gate on (current, baseline) and asserts the verdict.
-function(run_case case_name current baseline expect)
+# Gates WORK_DIR/<current>.json against WORK_DIR/<baseline>.json and
+# asserts the verdict ("pass" or "fail"); the gate's printed checks must
+# match the optional pattern. Leaves the gate's output in gate_out.
+function(gate_case case verdict current baseline)
   execute_process(
-    COMMAND "${CMAKE_COMMAND}"
-            -DCURRENT=${current} -DBASELINE=${baseline}
-            -P "${GATE_SCRIPT}"
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(expect STREQUAL "pass" AND NOT rc EQUAL 0)
-    message(SEND_ERROR
-            "${case_name}: expected the gate to pass but it failed "
-            "(rc=${rc}):\n${err}")
-    math(EXPR selftest_failures "${selftest_failures} + 1")
-    set(selftest_failures ${selftest_failures} PARENT_SCOPE)
-  elseif(expect STREQUAL "fail" AND rc EQUAL 0)
-    message(SEND_ERROR
-            "${case_name}: expected the gate to fail but it passed:\n${out}")
-    math(EXPR selftest_failures "${selftest_failures} + 1")
-    set(selftest_failures ${selftest_failures} PARENT_SCOPE)
+    COMMAND "${CMAKE_COMMAND}" -DCURRENT=${WORK_DIR}/${current}.json
+            -DBASELINE=${WORK_DIR}/${baseline}.json -P "${GATE_SCRIPT}"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  set(got fail)
+  if(rc EQUAL 0)
+    set(got pass)
+  endif()
+  set(gate_out "${out}" PARENT_SCOPE)
+  if(got STREQUAL verdict AND out MATCHES "${ARGN}")
+    message(STATUS "${case}: OK (${verdict})")
   else()
-    message(STATUS "${case_name}: OK (${expect})")
+    message(SEND_ERROR "${case}: expected ${verdict} with output matching "
+                       "'${ARGN}', got rc=${rc}:\n${out}${err}")
   endif()
 endfunction()
 
-# Case 1: unchanged document passes.
-write_doc("${WORK_DIR}/base.json" 100000.0 630.2 1 5000)
-run_case("unchanged-passes" "${WORK_DIR}/base.json" "${WORK_DIR}/base.json"
-         pass)
+set(FLOOR [[{"run": "r", "metric": "eps", "floor_pct": 70}]])
+set(P99 [[{"run": "r", "metric": "lat.p99", "ceiling_pct": 500, "slack": 0}]])
+set(BYTES [[{"run": "r", "metric": "bytes", "ceiling_pct": 200, "slack": 4096}]])
+set(GATES "${FLOOR}, ${P99}, ${BYTES}")
+set(VERIFIED [[{"name": "verified", "value": ["r", "ok"], "min_pct": 100, "max_pct": 100}]])
+set(RATIO [[{"name": "ratio", "value": ["r", "a"], "over": ["r", "b"], "min_pct": 200, "max_pct": 400}]])
 
-# Case 2: scientific-notation baseline keeps its mantissa fraction.
-# Baseline 1.5e3 = 1500 evt/s; current 800 is below the -30% floor
-# (1050). The historical parser read 1000, putting the floor at 700 and
-# letting the regression through.
-write_doc("${WORK_DIR}/sci_base.json" 1.5e3 630.0 1 5000)
-write_doc("${WORK_DIR}/sci_cur.json" 800.0 630.0 1 5000)
-run_case("scinot-mantissa-gates" "${WORK_DIR}/sci_cur.json"
-         "${WORK_DIR}/sci_base.json" fail)
-# ...while 1200 evt/s (above the 1050 floor) passes.
-write_doc("${WORK_DIR}/sci_ok.json" 1200.0 630.0 1 5000)
-run_case("scinot-within-floor" "${WORK_DIR}/sci_ok.json"
-         "${WORK_DIR}/sci_base.json" pass)
+# Unchanged: passes. Scientific notation keeps its mantissa: string(JSON)
+# hands 1.5e-5 on as "1.5e-05" (1.5e3 would come back as "1500.0" and
+# miss the branch), putting the -30% floor at 10.5 micro-units, so 8e-6
+# fails (a parser reading 1e-5 would put it at 7) and 1.2e-5 passes.
+record(base [["eps": 100000.0, "lat.p99": 5000, "bytes": 630.2]] "${GATES}" "")
+gate_case(unchanged-passes pass base base)
+record(sci_base [["eps": 1.5e-5, "lat.p99": 5000, "bytes": 630]] "${GATES}" "")
+record(sci_cur [["eps": 8e-6, "lat.p99": 5000, "bytes": 630]] "${GATES}" "")
+gate_case(scinot-mantissa-gates fail sci_cur sci_base "r.eps: FAIL: below floor")
+record(sci_ok [["eps": 1.2e-5, "lat.p99": 5000, "bytes": 630]] "${GATES}" "")
+gate_case(scinot-within-floor pass sci_ok sci_base)
+record(plain_base [["eps": 0.0001, "lat.p99": 5000, "bytes": 630]] "${GATES}" "")
+record(sci_fresh [["eps": 9e-5, "lat.p99": 5000, "bytes": 630]] "${GATES}" "")
+gate_case(scinot-fresh-vs-plain-baseline pass sci_fresh plain_base)
 
-# Case 3: near-zero baselines still gate. 0.0001 evt/s against a 0.0005
-# baseline is a 5x regression; the historical integer pre-division
-# truncated both sides to zero and compared 0 >= 0.
-write_doc("${WORK_DIR}/tiny_base.json" 0.0005 630.0 1 5000)
-write_doc("${WORK_DIR}/tiny_cur.json" 0.0001 630.0 1 5000)
-run_case("near-zero-baseline-gates" "${WORK_DIR}/tiny_cur.json"
-         "${WORK_DIR}/tiny_base.json" fail)
+# A 5x regression against a near-zero baseline still fails: integer
+# pre-division would truncate both sides to zero and compare 0 >= 0.
+record(tiny_base [["eps": 0.0005, "lat.p99": 5000, "bytes": 630]] "${GATES}" "")
+record(tiny_cur [["eps": 0.0001, "lat.p99": 5000, "bytes": 630]] "${GATES}" "")
+gate_case(near-zero-baseline-gates fail tiny_cur tiny_base)
 
-# Case 4: a zero baseline p99 skips the pause gate instead of failing or
-# dividing by zero, whatever the current p99 is.
-write_doc("${WORK_DIR}/zero_p99_base.json" 100000.0 630.0 1 0)
-write_doc("${WORK_DIR}/zero_p99_cur.json" 100000.0 630.0 1 999999)
-run_case("zero-baseline-p99-skips" "${WORK_DIR}/zero_p99_cur.json"
-         "${WORK_DIR}/zero_p99_base.json" pass)
+# Zero baseline, zero slack: the ceiling is skipped and reported,
+# whatever the fresh value.
+record(zp_base [["eps": 100000.0, "lat.p99": 0, "bytes": 630]] "${GATES}" "")
+record(zp_cur [["eps": 100000.0, "lat.p99": 999999, "bytes": 630]] "${GATES}" "")
+gate_case(zero-baseline-ceiling-skips pass zp_cur zp_base
+     "r.lat.p99: skipped: zero baseline, zero slack")
 
-# Case 5: a zero bytes baseline admits growth within the absolute slack
-# (4096 bytes) — and fails beyond it.
-write_doc("${WORK_DIR}/zero_bpc_base.json" 100000.0 0 1 5000)
-write_doc("${WORK_DIR}/zero_bpc_ok.json" 100000.0 4000.0 1 5000)
-run_case("zero-bytes-baseline-slack" "${WORK_DIR}/zero_bpc_ok.json"
-         "${WORK_DIR}/zero_bpc_base.json" pass)
-write_doc("${WORK_DIR}/zero_bpc_bad.json" 100000.0 5000.0 1 5000)
-run_case("zero-bytes-baseline-ceiling" "${WORK_DIR}/zero_bpc_bad.json"
-         "${WORK_DIR}/zero_bpc_base.json" fail)
+# Zero baseline with 4096 slack: 4000 bytes pass, 5000 fail.
+record(zb_base [["eps": 100000.0, "lat.p99": 5000, "bytes": 0]] "${GATES}" "")
+record(zb_ok [["eps": 100000.0, "lat.p99": 5000, "bytes": 4000.0]] "${GATES}" "")
+gate_case(zero-bytes-baseline-slack pass zb_ok zb_base)
+record(zb_bad [["eps": 100000.0, "lat.p99": 5000, "bytes": 5000.0]] "${GATES}" "")
+gate_case(zero-bytes-baseline-ceiling fail zb_bad zb_base "r.bytes: FAIL: above ceiling")
 
-# Case 6: an unverified restore fails on its own, all else equal.
-write_doc("${WORK_DIR}/unverified.json" 100000.0 630.2 0 5000)
-run_case("unverified-restore-fails" "${WORK_DIR}/unverified.json"
-         "${WORK_DIR}/base.json" fail)
+# p99 factor: 5x of 5000 is 25000.
+record(p99_ok [["eps": 100000.0, "lat.p99": 25000, "bytes": 630.2]] "${GATES}" "")
+gate_case(p99-at-factor-passes pass p99_ok base)
+record(p99_bad [["eps": 100000.0, "lat.p99": 25001, "bytes": 630.2]] "${GATES}" "")
+gate_case(p99-factor-gates fail p99_bad base "r.lat.p99: FAIL: above ceiling")
 
-# Case 7: checkpoint pause p99 regression beyond the 5x factor fails.
-write_doc("${WORK_DIR}/slow_p99.json" 100000.0 630.2 1 26000)
-run_case("pause-p99-gates" "${WORK_DIR}/slow_p99.json"
-         "${WORK_DIR}/base.json" fail)
+# A verified flag must be exactly 1.
+record(ok1 [["eps": 1, "ok": 1]] "${FLOOR}" "${VERIFIED}")
+gate_case(verified-passes pass ok1 ok1 "invariant verified: r.ok: ok")
+record(ok0 [["eps": 1, "ok": 0]] "${FLOOR}" "${VERIFIED}")
+gate_case(unverified-fails fail ok0 ok1 "verified: r.ok: FAIL: below min")
 
-# Writes a three-run tpstream-bench-compiled-v2 document where the batch
-# mode runs at `batch_eps` with SIMD tier `simd` over a 1000000 evt/s
-# interpreter.
-function(write_compiled_doc path batch_eps simd)
-  set(runs "")
-  foreach(spec
-          "deriver.interpreter;1000000.0;off"
-          "deriver.bytecode_batch;${batch_eps};${simd}"
-          "deriver.bytecode_batch_scalar;2500000.0;off")
-    list(GET spec 0 rname)
-    list(GET spec 1 reps)
-    list(GET spec 2 rsimd)
-    if(NOT runs STREQUAL "")
-      string(APPEND runs ",\n")
-    endif()
-    string(APPEND runs "    \"${rname}\": {
-      \"events\": 1000,
-      \"definitions\": 16,
-      \"compiled_programs\": 15,
-      \"simd_level\": \"${rsimd}\",
-      \"elapsed_s\": 1.0,
-      \"events_per_sec\": ${reps},
-      \"situations\": 42,
-      \"speedup_vs_interpreter\": 1.0
-    }")
-  endforeach()
-  file(WRITE "${path}" "{
-  \"schema\": \"tpstream-bench-compiled-v2\",
-  \"cpus\": 4,
-  \"runs\": {
-${runs}
-  }
-}
-")
-endfunction()
+# Ratio invariant a/b within [200%, 400%]: 3x passes, 1.99x and 4.01x
+# fail, and a zero denominator compares without dividing.
+record(r3 [["eps": 1, "a": 3.0, "b": 1.0]] "${FLOOR}" "${RATIO}")
+gate_case(ratio-within-passes pass r3 r3 "r.a / r.b: ok \\(300%")
+record(r_low [["eps": 1, "a": 1.99, "b": 1.0]] "${FLOOR}" "${RATIO}")
+gate_case(ratio-below-min-fails fail r_low r3 "FAIL: below min")
+record(r_high [["eps": 1, "a": 4.01, "b": 1.0]] "${FLOOR}" "${RATIO}")
+gate_case(ratio-above-max-fails fail r_high r3 "FAIL: above max")
+record(r_zero [["eps": 1, "a": 1.0, "b": 0]] "${FLOOR}" "${RATIO}")
+gate_case(ratio-zero-denominator-fails fail r_zero r3 "FAIL: above max")
 
-# Case 8: the compiled ablation floor follows the fresh simd_level. At
-# 3x the interpreter, a SIMD-dispatching run misses the raised 4x floor
-# while a scalar-fallback run clears its 2x floor; at 5x the SIMD run
-# passes too. The baseline carries the same rates, so the per-run
-# throughput floors never interfere with the verdict under test.
-write_compiled_doc("${WORK_DIR}/compiled_simd_3x.json" 3000000.0 "avx2")
-run_case("compiled-simd-floor-gates" "${WORK_DIR}/compiled_simd_3x.json"
-         "${WORK_DIR}/compiled_simd_3x.json" fail)
-write_compiled_doc("${WORK_DIR}/compiled_scalar_3x.json" 3000000.0 "off")
-run_case("compiled-scalar-floor-passes" "${WORK_DIR}/compiled_scalar_3x.json"
-         "${WORK_DIR}/compiled_scalar_3x.json" pass)
-write_compiled_doc("${WORK_DIR}/compiled_simd_5x.json" 5000000.0 "avx2")
-run_case("compiled-simd-floor-passes" "${WORK_DIR}/compiled_simd_5x.json"
-         "${WORK_DIR}/compiled_simd_5x.json" pass)
+# Missing inputs fail and are named: an invariant's denominator, a gated
+# fresh metric, a baseline run. A declared skip is reported with its
+# reason, but only once its inputs exist.
+record(miss_inv [["eps": 1, "a": 3.0]] "${FLOOR}" "${RATIO}")
+gate_case(missing-invariant-input-fails fail miss_inv r3
+     "ratio: r.a / r.b: FAIL: r.b missing from the fresh record")
+record(miss_gate [["lat.p99": 5000, "bytes": 630.2]] "${GATES}" "")
+gate_case(missing-gated-metric-fails fail miss_gate base
+     "r.eps: FAIL: r.eps missing from the fresh record")
+file(WRITE "${WORK_DIR}/new_run.json" [[{"schema": "tpstream-bench-v3",
+  "bench": "selftest", "cpus": 1, "simd_level": "off",
+  "runs": {"r2": {"eps": 1}},
+  "gates": [{"run": "r2", "metric": "eps", "floor_pct": 70}]}]])
+gate_case(run-missing-from-baseline-fails fail new_run base
+     "r2.eps: FAIL: r2.eps missing from the baseline")
+set(SKIPPED [[{"name": "floor", "value": ["r", "a"], "over": ["r", "b"], "min_pct": 130, "skip": "machine has 1 usable CPU(s)"}]])
+record(skip [["eps": 1, "a": 1.0, "b": 1.0]] "${FLOOR}" "${SKIPPED}")
+gate_case(declared-skip-reported pass skip skip
+     "floor: r.a / r.b: skipped: machine has 1 usable CPU\\(s\\)")
+record(skip_miss [["eps": 1, "a": 1.0]] "${FLOOR}" "${SKIPPED}")
+gate_case(skip-with-missing-input-fails fail skip_miss skip "r.b missing")
 
-# Writes a four-run tpstream-bench-durability-v1 document: two append
-# runs (3125 batches each, fsync counts as given), a recovery run whose
-# replay_verified flag is `rv`, and an incremental run with a 100000-byte
-# mean full snapshot and `bpd`-byte mean deltas.
-function(write_durability_doc path er_fsyncs e64_fsyncs rv bpd)
-  file(WRITE "${path}" "{
-  \"schema\": \"tpstream-bench-durability-v1\",
-  \"runs\": {
-    \"append.every_record\": {
-      \"events\": 200000,
-      \"events_per_sec\": 1000000.0,
-      \"batches\": 3125,
-      \"fsyncs\": ${er_fsyncs},
-      \"appended_bytes\": 9000000,
-      \"replay_verified\": 1
-    },
-    \"append.every_64k\": {
-      \"events\": 200000,
-      \"events_per_sec\": 2000000.0,
-      \"batches\": 3125,
-      \"fsyncs\": ${e64_fsyncs},
-      \"appended_bytes\": 9000000,
-      \"replay_verified\": 1
-    },
-    \"recovery.n10000\": {
-      \"events\": 10000,
-      \"events_per_sec\": 3000000.0,
-      \"recovery_ms\": 3.0,
-      \"replayed_events\": 9000,
-      \"replay_verified\": ${rv}
-    },
-    \"incremental.k8\": {
-      \"events\": 200000,
-      \"events_per_sec\": 500000.0,
-      \"checkpoints\": 40,
-      \"full_checkpoints\": 5,
-      \"delta_checkpoints\": 35,
-      \"bytes_per_full\": 100000.0,
-      \"bytes_per_delta\": ${bpd},
-      \"restore_verified\": 1
-    }
-  }
-}
-")
-endfunction()
+# The baseline is a contract: dropping, adding or moving a check fails,
+# an invariant bound only on the same machine class (cpus, simd_level);
+# baseline checks on runs the fresh record lacks are not compared.
+record(no_inv [["eps": 1, "a": 3.0, "b": 1.0]] "${FLOOR}" "")
+gate_case(dropped-check-fails fail no_inv r3
+     "contract invariants r: value r.a over r.b min_pct 200 max_pct 400: FAIL: dropped")
+gate_case(added-check-fails fail r3 no_inv "max_pct 400: FAIL: not in the baseline")
+string(REPLACE "70" "50" LOOSE "${FLOOR}")
+record(loose [["eps": 1, "a": 3.0, "b": 1.0]] "${LOOSE}" "${RATIO}")
+gate_case(loosened-gate-fails fail loose r3 "gates r: metric eps floor_pct 50: FAIL")
+string(REPLACE "200" "100" WIDE "${RATIO}")
+record(wide [["eps": 1, "a": 3.0, "b": 1.0]] "${FLOOR}" "${WIDE}")
+gate_case(moved-bound-fails fail wide r3 "min_pct 100 max_pct 400: FAIL: not in")
+set(CPUS 4)
+record(wide4 [["eps": 1, "a": 3.0, "b": 1.0]] "${FLOOR}" "${WIDE}")
+set(CPUS 1)
+gate_case(bound-for-other-class-passes pass wide4 r3)
+file(READ "${WORK_DIR}/new_run.json" shared)
+string(JSON shared SET "${shared}" runs r "{\"eps\": 1}")
+string(JSON shared SET "${shared}" gates 1 "${FLOOR}")
+file(WRITE "${WORK_DIR}/shared.json" "${shared}")
+gate_case(shared-baseline-passes pass no_inv shared)
 
-# Case 9: the durability invariants. An unchanged healthy document
-# passes; an unverified replay fails on its own; kEveryRecord reporting
-# fewer barriers than records fails; kEveryBytes degenerating to
-# per-record barriers fails; deltas ballooning past half a full
-# snapshot fail the incremental invariant.
-write_durability_doc("${WORK_DIR}/dur_base.json" 3126 130 1 8000.0)
-run_case("durability-unchanged-passes" "${WORK_DIR}/dur_base.json"
-         "${WORK_DIR}/dur_base.json" pass)
-write_durability_doc("${WORK_DIR}/dur_unverified.json" 3126 130 0 8000.0)
-run_case("durability-unverified-replay-fails" "${WORK_DIR}/dur_unverified.json"
-         "${WORK_DIR}/dur_base.json" fail)
-write_durability_doc("${WORK_DIR}/dur_lost_barrier.json" 3124 130 1 8000.0)
-run_case("durability-every-record-barrier-fails"
-         "${WORK_DIR}/dur_lost_barrier.json" "${WORK_DIR}/dur_base.json" fail)
-write_durability_doc("${WORK_DIR}/dur_no_grouping.json" 3126 3125 1 8000.0)
-run_case("durability-group-commit-collapse-fails"
-         "${WORK_DIR}/dur_no_grouping.json" "${WORK_DIR}/dur_base.json" fail)
-write_durability_doc("${WORK_DIR}/dur_fat_delta.json" 3126 130 1 60000.0)
-run_case("durability-delta-ratio-fails" "${WORK_DIR}/dur_fat_delta.json"
-         "${WORK_DIR}/dur_base.json" fail)
-
-if(selftest_failures GREATER 0)
-  message(FATAL_ERROR
-          "${selftest_failures} self-test case(s) failed")
+# Every committed baseline passes against itself, with one evaluated or
+# skipped row per declared invariant.
+get_filename_component(repo "${CMAKE_CURRENT_LIST_DIR}/.." ABSOLUTE)
+file(GLOB baselines "${repo}/BENCH_*.json")
+if(NOT baselines)
+  message(SEND_ERROR "no BENCH_*.json found under ${repo}")
 endif()
-message(STATUS "check_bench_regression selftest: all cases passed")
+foreach(path ${baselines})
+  file(READ "${path}" doc)
+  string(JSON n_inv LENGTH "${doc}" invariants)
+  get_filename_component(name "${path}" NAME_WE)
+  file(WRITE "${WORK_DIR}/${name}.json" "${doc}")
+  gate_case("${name}.json-self-passes" pass ${name} ${name}
+            "0 failed, [0-9]+ skipped of [0-9]+ gate\\(s\\) and ${n_inv} invariant")
+  string(REGEX MATCHALL "-- invariant [^\n]*: (ok|skipped)" rows "${gate_out}")
+  list(LENGTH rows n_rows)
+  if(NOT n_rows EQUAL n_inv)
+    message(SEND_ERROR "${name}: ${n_rows} of ${n_inv} invariants evaluated")
+  endif()
+endforeach()
