@@ -6,40 +6,47 @@
 
 namespace tpstream {
 
-MatchEngine::MatchEngine(const QuerySpec* spec, const Deriver* deriver,
-                         std::vector<int> deriver_slots, Options options,
-                         OutputCallback output)
-    : spec_(spec),
-      deriver_(deriver),
-      deriver_slots_(std::move(deriver_slots)),
-      options_(std::move(options)),
-      output_(std::move(output)) {
-  auto on_match = [this](const Match& m) { OnMatch(m); };
-  if (options_.low_latency) {
-    // Duration constraints in *query symbol* order: the shared deriver
-    // stores definitions in deduplicated order, so index through the
-    // slot mapping (the identity for a standalone operator).
-    const std::vector<DurationConstraint> shared = deriver_->durations();
-    std::vector<DurationConstraint> durations;
-    durations.reserve(deriver_slots_.size());
-    for (int slot : deriver_slots_) durations.push_back(shared[slot]);
-    DetectionAnalysis analysis(spec_->pattern, std::move(durations));
-    ll_matcher_ = std::make_unique<LowLatencyMatcher>(
-        spec_->pattern, std::move(analysis), spec_->window, on_match,
-        options_.stats_alpha);
-  } else {
-    matcher_ = std::make_unique<Matcher>(spec_->pattern, spec_->window,
-                                         on_match, options_.stats_alpha);
-  }
+namespace {
 
+std::vector<DurationConstraint> QueryDurations(
+    const Deriver& deriver, const std::vector<int>& deriver_slots) {
+  // The shared deriver of a QueryGroup stores definitions in
+  // deduplicated order, so index through the slot mapping (the identity
+  // for a standalone operator).
+  const std::vector<DurationConstraint> shared = deriver.durations();
+  std::vector<DurationConstraint> durations;
+  durations.reserve(deriver_slots.size());
+  for (int slot : deriver_slots) durations.push_back(shared[slot]);
+  return durations;
+}
+
+}  // namespace
+
+MatchEngine::Program::Program(const QuerySpec* spec,
+                              std::vector<DurationConstraint> durations,
+                              std::vector<int> deriver_slots, Options options,
+                              OutputCallback output,
+                              std::shared_ptr<InitialPlan> initial_plan)
+    : options_(std::move(options)),
+      spec_(spec),
+      deriver_slots_(std::move(deriver_slots)),
+      output_(std::move(output)) {
+  DetectionAnalysis analysis;
+  if (options_.low_latency) {
+    analysis = DetectionAnalysis(spec_->pattern, durations);
+  }
+  matcher_ = std::make_shared<MatcherProgram>(spec_->pattern, spec_->window,
+                                              options_.stats_alpha,
+                                              std::move(analysis));
   if (!options_.overload.unbounded()) {
-    if (ll_matcher_) ll_matcher_->SetOverload(options_.overload);
-    if (matcher_) matcher_->SetOverload(options_.overload);
+    matcher_->situation_cap = options_.overload.max_situations_per_buffer;
+    if (options_.low_latency) {
+      matcher_->max_trigger_pool = options_.overload.max_trigger_pool;
+    }
   }
 
   if (options_.metrics != nullptr) {
-    if (ll_matcher_) ll_matcher_->EnableMetrics(options_.metrics);
-    if (matcher_) matcher_->EnableMetrics(options_.metrics);
+    matcher_->EnableMetrics(options_.metrics, options_.low_latency);
     events_ctr_ = options_.metrics->GetCounter("operator.events");
     matches_ctr_ = options_.metrics->GetCounter("operator.matches");
     detection_latency_hist_ =
@@ -47,27 +54,68 @@ MatchEngine::MatchEngine(const QuerySpec* spec, const Deriver* deriver,
     stats_publisher_ = MatcherStatsPublisher(options_.metrics, spec_->pattern);
   }
 
+  if (options_.fixed_order.has_value()) {
+    initial_order_ = *options_.fixed_order;
+    return;
+  }
+  initial_plan_ = initial_plan != nullptr ? std::move(initial_plan)
+                                          : std::make_shared<InitialPlan>();
+  AdaptiveController::Options copts;
+  copts.threshold = options_.reopt_threshold;
+  copts.check_interval = options_.reopt_interval;
+  copts.low_latency = options_.low_latency;
+  copts.metrics = options_.metrics;
+  copts.plan_cache = options_.plan_cache;
+  planner_ =
+      std::make_shared<const AdaptiveController::Planner>(&spec_->pattern,
+                                                          copts);
+}
+
+void MatchEngine::Program::LoadInitialPlan() {
+  if (initial_plan_ == nullptr || initial_controller_.has_value()) return;
+  InitialPlan& plan = *initial_plan_;
+  std::call_once(plan.once, [&] {
+    // The cost-based initial plan (Table 3 selectivities): the first
+    // MaybeReoptimize always suggests it.
+    plan.state.emplace(planner_);
+    plan.order = *plan.state->MaybeReoptimize(matcher_->initial_stats);
+  });
+  initial_order_ = plan.order;
+  initial_controller_.emplace(planner_, *plan.state);
+}
+
+MatchEngine::MatchEngine(const QuerySpec* spec, const Deriver* deriver,
+                         std::vector<int> deriver_slots, Options options,
+                         OutputCallback output)
+    : MatchEngine(
+          std::make_shared<Program>(spec,
+                                    QueryDurations(*deriver, deriver_slots),
+                                    std::move(deriver_slots),
+                                    std::move(options), std::move(output)),
+          deriver) {}
+
+MatchEngine::MatchEngine(std::shared_ptr<Program> program,
+                         const Deriver* deriver)
+    : program_(std::move(program)), deriver_(deriver) {
+  auto on_match = [this](const Match& m) { OnMatch(m); };
+  Program& p = *program_;
+  p.LoadInitialPlan();
+  if (p.options_.low_latency) {
+    ll_matcher_ = std::make_unique<LowLatencyMatcher>(p.matcher_, on_match);
+  } else {
+    matcher_ = std::make_unique<Matcher>(p.matcher_, on_match);
+  }
   InstallInitialPlan();
 }
 
 void MatchEngine::InstallInitialPlan() {
-  if (options_.fixed_order.has_value()) {
-    if (ll_matcher_) ll_matcher_->SetEvaluationOrder(*options_.fixed_order);
-    if (matcher_) matcher_->SetEvaluationOrder(*options_.fixed_order);
+  const Program& p = *program_;
+  if (ll_matcher_) ll_matcher_->SetEvaluationOrder(p.initial_order_);
+  if (matcher_) matcher_->SetEvaluationOrder(p.initial_order_);
+  if (p.options_.adaptive && p.initial_controller_.has_value()) {
+    controller_.emplace(*p.initial_controller_);
   } else {
-    // Install the cost-based initial plan (Table 3 selectivities).
-    AdaptiveController::Options copts;
-    copts.threshold = options_.reopt_threshold;
-    copts.check_interval = options_.reopt_interval;
-    copts.low_latency = options_.low_latency;
-    copts.metrics = options_.metrics;
-    copts.plan_cache = options_.plan_cache;
-    controller_ = std::make_unique<AdaptiveController>(&spec_->pattern, copts);
-    if (auto order = controller_->MaybeReoptimize(stats())) {
-      if (ll_matcher_) ll_matcher_->SetEvaluationOrder(*order);
-      if (matcher_) matcher_->SetEvaluationOrder(*order);
-    }
-    if (!options_.adaptive) controller_.reset();
+    controller_.reset();
   }
 }
 
@@ -76,10 +124,9 @@ void MatchEngine::Reset() {
   num_matches_ = 0;
   if (ll_matcher_) ll_matcher_->Reset();
   if (matcher_) matcher_->Reset();
-  // Rebuild the adaptive state exactly as construction would: fresh
-  // controller (or none), initial cost-based plan re-installed on the
-  // just-reset statistics.
-  controller_.reset();
+  // Rebuild the adaptive state exactly as construction would: the
+  // query's initial plan, and a controller (if adaptive) continuing from
+  // it.
   InstallInitialPlan();
 }
 
@@ -93,7 +140,7 @@ void MatchEngine::Checkpoint(ckpt::Writer& w) const {
   } else {
     matcher_->Checkpoint(w);
   }
-  w.Bool(controller_ != nullptr);
+  w.Bool(controller_.has_value());
   if (controller_) controller_->Checkpoint(w);
   w.EndSection(cookie);
 }
@@ -111,7 +158,7 @@ Status MatchEngine::Restore(ckpt::Reader& r) {
   Status status = ll_matcher_ ? ll_matcher_->Restore(r) : matcher_->Restore(r);
   if (!status.ok()) return status;
   const bool adaptive = r.Bool();
-  if (r.ok() && adaptive != (controller_ != nullptr)) {
+  if (r.ok() && adaptive != (controller_.has_value())) {
     r.Fail(Status::InvalidArgument(
         "checkpoint: adaptivity mismatch (adaptive option changed?)"));
     return r.status();
@@ -129,7 +176,7 @@ Status MatchEngine::Restore(ckpt::Reader& r) {
 
 void MatchEngine::NoteEvents(int64_t n) {
   num_events_ += n;
-  if (events_ctr_ != nullptr) events_ctr_->Inc(n);
+  if (program_->events_ctr_ != nullptr) program_->events_ctr_->Inc(n);
 }
 
 void MatchEngine::Consume(Deriver::Update& update, TimePoint t) {
@@ -143,7 +190,7 @@ void MatchEngine::Consume(Deriver::Update& update, TimePoint t) {
     matcher_->Consume(update.finished, t);
   }
 
-  if (controller_ != nullptr) {
+  if (controller_.has_value()) {
     if (auto order = controller_->MaybeReoptimize(stats())) {
       if (ll_matcher_) ll_matcher_->SetEvaluationOrder(*order);
       if (matcher_) matcher_->SetEvaluationOrder(*order);
@@ -152,36 +199,44 @@ void MatchEngine::Consume(Deriver::Update& update, TimePoint t) {
 
   // EMAs change slowly; publishing at the optimizer's check cadence keeps
   // the gauges fresh without touching the per-event fast path.
-  if (stats_publisher_.enabled() &&
-      num_events_ % std::max(options_.reopt_interval, 1) == 0) {
-    stats_publisher_.Publish(stats());
+  Program& p = *program_;
+  if (p.stats_publisher_.enabled() &&
+      num_events_ % std::max(p.options_.reopt_interval, 1) == 0) {
+    p.stats_publisher_.Publish(stats());
   }
 }
 
 void MatchEngine::Flush() {
-  if (stats_publisher_.enabled()) stats_publisher_.Publish(stats());
+  Program& p = *program_;
+  if (p.stats_publisher_.enabled()) p.stats_publisher_.Publish(stats());
+}
+
+void MatchEngine::SetMatchObserver(MatchCallback observer) {
+  program_->match_observer_ = std::move(observer);
 }
 
 void MatchEngine::OnMatch(const Match& match) {
+  const Program& p = *program_;
+  const QuerySpec& spec = *p.spec_;
   ++num_matches_;
-  if (matches_ctr_ != nullptr) matches_ctr_->Inc();
-  if (detection_latency_hist_ != nullptr) {
+  if (p.matches_ctr_ != nullptr) p.matches_ctr_->Inc();
+  if (p.detection_latency_hist_ != nullptr) {
     // Detection latency in application time: how far behind the analytic
     // earliest detection instant t_d (Section 5.3.1) this match surfaced.
     // The low-latency matcher should pin this at ~0; the baseline matcher
     // pays the distance between t_d and the last end timestamp.
-    const TimePoint td = EarliestDetection(spec_->pattern, match.config);
+    const TimePoint td = EarliestDetection(spec.pattern, match.config);
     if (td != kTimeMax && match.detected_at >= td) {
-      detection_latency_hist_->Record(
+      p.detection_latency_hist_->Record(
           static_cast<int64_t>(match.detected_at - td));
     }
   }
-  if (match_observer_) match_observer_(match);
-  if (!output_) return;
+  if (p.match_observer_) p.match_observer_(match);
+  if (!p.output_) return;
 
   Tuple payload;
-  payload.reserve(spec_->returns.size());
-  for (const ReturnItem& item : spec_->returns) {
+  payload.reserve(spec.returns.size());
+  for (const ReturnItem& item : spec.returns) {
     const Situation& s = match.config[item.symbol];
     switch (item.source) {
       case ReturnItem::Source::kStartTime:
@@ -199,7 +254,7 @@ void MatchEngine::OnMatch(const Match& match) {
       case ReturnItem::Source::kAggregate:
         break;
     }
-    const int slot = deriver_slots_[item.symbol];
+    const int slot = p.deriver_slots_[item.symbol];
     if (s.ongoing() && deriver_->IsOngoing(slot)) {
       // Freshest aggregate snapshot for situations still being derived.
       const Tuple snapshot = deriver_->SnapshotOngoing(slot);
@@ -212,7 +267,7 @@ void MatchEngine::OnMatch(const Match& match) {
                             : Value::Null());
     }
   }
-  output_(Event(std::move(payload), match.detected_at));
+  p.output_(Event(std::move(payload), match.detected_at));
 }
 
 void MatchEngine::ForceEvaluationOrder(const std::vector<int>& order) {

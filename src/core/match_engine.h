@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "derive/deriver.h"
 #include "matcher/low_latency_matcher.h"
 #include "matcher/matcher.h"
+#include "matcher/matcher_program.h"
 #include "obs/metrics.h"
 #include "optimizer/plan_optimizer.h"
 #include "optimizer/shared_plan_cache.h"
@@ -34,6 +36,13 @@ namespace tpstream {
 /// a standalone operator passes the identity mapping. The mapping is only
 /// used to snapshot the freshest aggregates of still-ongoing situations
 /// at match time.
+///
+/// Everything that depends on the query but not on the stream — the
+/// matcher program, the planner and the initial plan, the output
+/// callback, the metric handles — is the engine's Program. The engines
+/// of every PARTITION BY key share one, so a new key costs only its
+/// stream state: matcher buffers and statistics, the adaptive state and
+/// the counts.
 class MatchEngine {
  public:
   struct Options {
@@ -53,9 +62,20 @@ class MatchEngine {
 
   using OutputCallback = std::function<void(const Event&)>;
 
+  class Program;
+
+  /// An engine with a private program.
   MatchEngine(const QuerySpec* spec, const Deriver* deriver,
               std::vector<int> deriver_slots, Options options,
               OutputCallback output);
+
+  /// A fresh engine over a shared program, reading ongoing aggregates
+  /// from `deriver` (this engine's key's deriver; must outlive it).
+  MatchEngine(std::shared_ptr<Program> program, const Deriver* deriver);
+
+  // The matcher's callback holds the engine's address.
+  MatchEngine(const MatchEngine&) = delete;
+  MatchEngine& operator=(const MatchEngine&) = delete;
 
   /// Advances the input-event count by `n` without matching work. A
   /// standalone operator calls NoteEvents(1) per event; a QueryGroup
@@ -73,9 +93,9 @@ class MatchEngine {
   /// calls afterwards.
   void Flush();
 
-  void SetMatchObserver(MatchCallback observer) {
-    match_observer_ = std::move(observer);
-  }
+  /// The observer is part of the program: it sees the matches of every
+  /// engine sharing it.
+  void SetMatchObserver(MatchCallback observer);
   void ForceEvaluationOrder(const std::vector<int>& order);
 
   /// Returns the engine to its freshly-constructed state: event/match
@@ -112,29 +132,81 @@ class MatchEngine {
  private:
   void OnMatch(const Match& match);
 
-  /// Builds the adaptive controller (per Options) and installs the
-  /// initial cost-based plan; shared by the constructor and Reset().
+  /// Installs the query's initial plan (and, when adaptive, a controller
+  /// continuing from it); shared by the constructor and Reset().
   void InstallInitialPlan();
 
-  const QuerySpec* spec_;
+  std::shared_ptr<Program> program_;
+  int64_t num_events_ = 0;
+  int64_t num_matches_ = 0;
   const Deriver* deriver_;
-  std::vector<int> deriver_slots_;
-  Options options_;
-  OutputCallback output_;
-  MatchCallback match_observer_;
 
   std::unique_ptr<Matcher> matcher_;               // baseline mode
   std::unique_ptr<LowLatencyMatcher> ll_matcher_;  // low-latency mode
-  std::unique_ptr<AdaptiveController> controller_;
+  std::optional<AdaptiveController> controller_;
+};
 
-  int64_t num_events_ = 0;
-  int64_t num_matches_ = 0;
+/// The per-query half of a MatchEngine. It runs the query's detection
+/// analysis once, and its initial cost-based plan — the subset DP over
+/// the Table 3 estimates, which every fresh stream shares — once, when
+/// the first engine is created; engines copy the resulting order and
+/// adaptive state. Single-threaded, like the engines, except for the
+/// initial plan, which programs of one deployment may share across
+/// threads.
+class MatchEngine::Program {
+ public:
+  /// The query's initial plan, computed by whichever program sharing it
+  /// first creates an engine, then read by all of them — possibly on
+  /// other threads (the workers of a ParallelTPStream).
+  struct InitialPlan {
+    std::once_flag once;
+    std::vector<int> order;
+    // The adaptive state right after choosing `order`; its planner is the
+    // computing program's and is never used through this copy.
+    std::optional<AdaptiveController> state;
+  };
 
+  /// `durations` are the duration constraints in query symbol order.
+  /// Programs for the same query and options may share one
+  /// `initial_plan`: whichever needs it first computes it, the others
+  /// copy it, so the engines of one deployment run the DP once in total.
+  /// Null gives the program a plan of its own.
+  Program(const QuerySpec* spec, std::vector<DurationConstraint> durations,
+          std::vector<int> deriver_slots, Options options,
+          OutputCallback output,
+          std::shared_ptr<InitialPlan> initial_plan = nullptr);
+  Program(const Program&) = delete;
+  Program& operator=(const Program&) = delete;
+
+ private:
+  friend class MatchEngine;
+
+  /// Fills initial_order_ / initial_controller_ from the shared initial
+  /// plan, computing it there if no sharing program has yet.
+  void LoadInitialPlan();
+
+  // Fields every event or update reads come first, so that the engines
+  // of many keys, each on a private program (a key per operator), touch
+  // few cache lines per event.
   // Observability handles (null when metrics are disabled).
   obs::Counter* events_ctr_ = nullptr;
   obs::Counter* matches_ctr_ = nullptr;
   obs::LatencyHistogram* detection_latency_hist_ = nullptr;
   MatcherStatsPublisher stats_publisher_;
+  Options options_;
+  const QuerySpec* spec_;
+  std::vector<int> deriver_slots_;
+  OutputCallback output_;
+  MatchCallback match_observer_;
+  std::shared_ptr<MatcherProgram> matcher_;
+
+  // The initial plan: its order, and (unless the order is fixed) the
+  // planner and the adaptive state right after choosing it. Loaded from
+  // the shared initial_plan_ when the first engine is created.
+  std::shared_ptr<InitialPlan> initial_plan_;  // null with fixed_order
+  std::vector<int> initial_order_;
+  std::shared_ptr<const AdaptiveController::Planner> planner_;
+  std::optional<AdaptiveController> initial_controller_;
 };
 
 }  // namespace tpstream

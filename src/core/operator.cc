@@ -27,15 +27,34 @@ std::vector<int> IdentitySlots(size_t n) {
 
 }  // namespace
 
+std::shared_ptr<Deriver::Program> MakeDeriveProgram(
+    const QuerySpec& spec, const TPStreamOperator::Options& options) {
+  return std::make_shared<Deriver::Program>(
+      spec.definitions, /*announce_starts=*/options.low_latency,
+      options.metrics,
+      DeriveOptions{options.compiled_predicates, options.simd});
+}
+
+std::shared_ptr<MatchEngine::Program> MakeMatchProgram(
+    const QuerySpec* spec, const TPStreamOperator::Options& options,
+    MatchEngine::OutputCallback output,
+    std::shared_ptr<MatchEngine::Program::InitialPlan> initial_plan) {
+  std::vector<DurationConstraint> durations;
+  durations.reserve(spec->definitions.size());
+  for (const SituationDefinition& def : spec->definitions) {
+    durations.push_back(def.duration);
+  }
+  return std::make_shared<MatchEngine::Program>(
+      spec, std::move(durations), IdentitySlots(spec->definitions.size()),
+      EngineOptions(options), std::move(output), std::move(initial_plan));
+}
+
 TPStreamOperator::TPStreamOperator(QuerySpec spec, Options options,
                                    OutputCallback output)
     : spec_(std::move(spec)),
-      deriver_(spec_.definitions, /*announce_starts=*/options.low_latency,
-               options.metrics,
-               DeriveOptions{options.compiled_predicates, options.simd}),
+      deriver_(MakeDeriveProgram(spec_, options)),
       engine_(std::make_unique<MatchEngine>(
-          &spec_, &deriver_, IdentitySlots(spec_.definitions.size()),
-          EngineOptions(options), std::move(output))) {}
+          MakeMatchProgram(&spec_, options, std::move(output)), &deriver_)) {}
 
 void TPStreamOperator::Push(const Event& event) {
   engine_->NoteEvents(1);
@@ -62,21 +81,31 @@ void TPStreamOperator::Reset() {
 }
 
 void TPStreamOperator::Checkpoint(ckpt::Writer& w) const {
-  w.Envelope(static_cast<uint64_t>(num_events()));
-  const size_t cookie = w.BeginSection(ckpt::Tag::kOperator);
-  deriver_.Checkpoint(w);
-  engine_->Checkpoint(w);
-  w.EndSection(cookie);
+  CheckpointOperatorState(w, deriver_, *engine_);
 }
 
 Status TPStreamOperator::Restore(ckpt::Reader& r, uint64_t* offset) {
+  return RestoreOperatorState(r, &deriver_, engine_.get(), offset);
+}
+
+void CheckpointOperatorState(ckpt::Writer& w, const Deriver& deriver,
+                             const MatchEngine& engine) {
+  w.Envelope(static_cast<uint64_t>(engine.num_events()));
+  const size_t cookie = w.BeginSection(ckpt::Tag::kOperator);
+  deriver.Checkpoint(w);
+  engine.Checkpoint(w);
+  w.EndSection(cookie);
+}
+
+Status RestoreOperatorState(ckpt::Reader& r, Deriver* deriver,
+                            MatchEngine* engine, uint64_t* offset) {
   uint64_t off = 0;
   Status status = r.Envelope(&off);
   if (!status.ok()) return status;
   const size_t end = r.BeginSection(ckpt::Tag::kOperator);
-  status = deriver_.Restore(r);
+  status = deriver->Restore(r);
   if (!status.ok()) return status;
-  status = engine_->Restore(r);
+  status = engine->Restore(r);
   if (!status.ok()) return status;
   status = r.EndSection(end);
   if (!status.ok()) return status;

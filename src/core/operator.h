@@ -165,6 +165,30 @@ class TPStreamOperator {
   std::unique_ptr<MatchEngine> engine_;
 };
 
+/// The two query programs a TPStreamOperator runs on, built from its
+/// options; a PartitionedTPStream builds them once and shares them across
+/// its partitions. `spec` must outlive the match program. `initial_plan`
+/// shares a sibling program's initial plan (see MatchEngine::Program).
+std::shared_ptr<Deriver::Program> MakeDeriveProgram(
+    const QuerySpec& spec, const TPStreamOperator::Options& options);
+std::shared_ptr<MatchEngine::Program> MakeMatchProgram(
+    const QuerySpec* spec, const TPStreamOperator::Options& options,
+    MatchEngine::OutputCallback output,
+    std::shared_ptr<MatchEngine::Program::InitialPlan> initial_plan =
+        nullptr);
+
+/// The operator checkpoint layout, for one deriver/engine pair: the
+/// envelope (offset = the engine's event count), then a kOperator
+/// section holding the deriver's and the engine's state.
+/// TPStreamOperator::Checkpoint writes exactly this, and so does
+/// PartitionedTPStream for each of its partitions.
+void CheckpointOperatorState(ckpt::Writer& w, const Deriver& deriver,
+                             const MatchEngine& engine);
+/// Restores what CheckpointOperatorState wrote; `*offset` (when
+/// non-null) receives the envelope's offset.
+Status RestoreOperatorState(ckpt::Reader& r, Deriver* deriver,
+                            MatchEngine* engine, uint64_t* offset = nullptr);
+
 }  // namespace tpstream
 
 #endif  // TPSTREAM_CORE_OPERATOR_H_

@@ -1,65 +1,96 @@
 #include "core/partitioned_operator.h"
 
 #include <algorithm>
-#include <vector>
 
 namespace tpstream {
 
 PartitionedTPStream::PartitionedTPStream(
     QuerySpec spec, TPStreamOperator::Options options,
     TPStreamOperator::OutputCallback output)
+    : PartitionedTPStream(std::move(spec), std::move(options),
+                          std::move(output), nullptr) {}
+
+PartitionedTPStream::PartitionedTPStream(
+    QuerySpec spec, TPStreamOperator::Options options,
+    TPStreamOperator::OutputCallback output,
+    const PartitionedTPStream* plan_source)
     : spec_(std::move(spec)),
       options_(std::move(options)),
-      output_(std::move(output)) {
+      output_(std::move(output)),
+      initial_plan_(
+          plan_source != nullptr
+              ? plan_source->initial_plan_
+              : std::make_shared<MatchEngine::Program::InitialPlan>()) {
   if (options_.metrics != nullptr) {
     events_ctr_ = options_.metrics->GetCounter("partitioned.events");
     partitions_gauge_ = options_.metrics->GetGauge("partitioned.partitions");
   }
 }
 
-std::unique_ptr<TPStreamOperator> PartitionedTPStream::NewOperator() {
-  auto op = std::make_unique<TPStreamOperator>(
-      spec_, options_, [this](const Event& e) {
+void PartitionedTPStream::BuildPrograms() {
+  derive_program_ = MakeDeriveProgram(spec_, options_);
+  match_program_ = MakeMatchProgram(
+      &spec_, options_,
+      [this](const Event& e) {
         ++num_matches_;
         if (output_) output_(e);
-      });
-  if (partitions_gauge_ != nullptr) {
-    // The caller already default-inserted the new partition's slot, so
-    // num_partitions() counts it.
-    partitions_gauge_->Set(static_cast<double>(num_partitions()));
-  }
-  return op;
+      },
+      initial_plan_);
 }
 
-TPStreamOperator* PartitionedTPStream::Partition(const Value& key) {
-  if (key.type() == ValueType::kInt) {
-    auto& slot = int_partitions_[key.AsInt()];
-    if (slot == nullptr) slot = NewOperator();
-    return slot.get();
+template <typename Map, typename Key>
+typename Map::value_type& PartitionedTPStream::Find(Map& map, const Key& key) {
+  auto it = map.find(key);
+  if (it == map.end()) {
+    if (match_program_ == nullptr) BuildPrograms();
+    it = map.try_emplace(typename Map::key_type(key), derive_program_,
+                         match_program_)
+             .first;
+    if (partitions_gauge_ != nullptr) {
+      partitions_gauge_->Set(static_cast<double>(num_partitions()));
+    }
   }
-  auto& slot = string_partitions_[key.ToString()];
-  if (slot == nullptr) slot = NewOperator();
-  return slot.get();
+  return *it;
+}
+
+template <typename Map, typename Key>
+PartitionedTPStream::Partition& PartitionedTPStream::Touch(
+    Map& map, std::vector<typename Map::value_type*>& dirty, const Key& key) {
+  typename Map::value_type& entry = Find(map, key);
+  if (!entry.second.dirty) {
+    entry.second.dirty = true;
+    dirty.push_back(&entry);
+  }
+  return entry.second;
+}
+
+PartitionedTPStream::Partition& PartitionedTPStream::Route(
+    const Event& event) {
+  if (spec_.partition_field < 0) {
+    // Unpartitioned: a single implicit partition keyed by 0.
+    return Touch(int_partitions_, dirty_int_, int64_t{0});
+  }
+  const Value& key = event.payload[spec_.partition_field];
+  switch (key.type()) {
+    case ValueType::kInt:
+      return Touch(int_partitions_, dirty_int_, key.AsInt());
+    case ValueType::kString:
+      return Touch(string_partitions_, dirty_string_,
+                   std::string_view(key.AsString()));
+    default:
+      return Touch(string_partitions_, dirty_string_, key.ToString());
+  }
 }
 
 void PartitionedTPStream::Push(const Event& event) {
   ++num_events_;
   if (events_ctr_ != nullptr) events_ctr_->Inc();
-  if (spec_.partition_field < 0) {
-    // Unpartitioned: single implicit partition keyed by 0.
-    auto& slot = int_partitions_[0];
-    if (slot == nullptr) slot = NewOperator();
-    dirty_int_.insert(0);
-    slot->Push(event);
-    return;
-  }
-  const Value& key = event.payload[spec_.partition_field];
-  if (key.type() == ValueType::kInt) {
-    dirty_int_.insert(key.AsInt());
-  } else {
-    dirty_string_.insert(key.ToString());
-  }
-  Partition(key)->Push(event);
+  Partition& partition = Route(event);
+  // Exactly TPStreamOperator::Push, on this key's state.
+  partition.engine.NoteEvents(1);
+  Deriver::Update& update = partition.deriver.Process(event);
+  if (update.empty()) return;
+  partition.engine.Consume(update, event.t);
 }
 
 void PartitionedTPStream::PushBatch(std::span<Event> events) {
@@ -71,11 +102,14 @@ void PartitionedTPStream::PushBatch(std::span<const Event> events) {
 }
 
 void PartitionedTPStream::Flush() {
-  for (const auto& [k, op] : int_partitions_) op->Flush();
-  for (const auto& [k, op] : string_partitions_) op->Flush();
+  for (auto& [k, p] : int_partitions_) p.engine.Flush();
+  for (auto& [k, p] : string_partitions_) p.engine.Flush();
 }
 
 void PartitionedTPStream::Reset() {
+  // The dirty lists point into the maps: drop them first.
+  dirty_int_.clear();
+  dirty_string_.clear();
   int_partitions_.clear();
   string_partitions_.clear();
   num_events_ = 0;
@@ -83,60 +117,98 @@ void PartitionedTPStream::Reset() {
   // A delta records only *touched* partitions; it cannot express "every
   // partition vanished", so Reset() invalidates the incremental
   // baseline until the next full checkpoint or restore.
-  dirty_int_.clear();
-  dirty_string_.clear();
   incremental_valid_ = false;
   if (partitions_gauge_ != nullptr) partitions_gauge_->Set(0.0);
 }
 
-void PartitionedTPStream::Checkpoint(ckpt::Writer& w) const {
-  w.Envelope(static_cast<uint64_t>(num_events_));
-  const size_t cookie = w.BeginSection(ckpt::Tag::kPartitioned);
-  w.I64(num_matches_);
-
-  // Sort keys so byte output is a pure function of logical state
+void PartitionedTPStream::Write(ckpt::Writer& w, ckpt::Tag tag,
+                                std::vector<const IntEntry*> ints,
+                                std::vector<const StringEntry*> strings) const {
+  // Sorted keys make the bytes a pure function of logical state
   // (unordered_map iteration order is not).
-  std::vector<int64_t> int_keys;
-  int_keys.reserve(int_partitions_.size());
-  for (const auto& [k, op] : int_partitions_) int_keys.push_back(k);
-  std::sort(int_keys.begin(), int_keys.end());
-  w.U64(int_keys.size());
-  for (int64_t k : int_keys) {
-    w.I64(k);
-    int_partitions_.at(k)->Checkpoint(w);
-  }
+  auto by_key = [](const auto* a, const auto* b) {
+    return a->first < b->first;
+  };
+  std::sort(ints.begin(), ints.end(), by_key);
+  std::sort(strings.begin(), strings.end(), by_key);
 
-  std::vector<std::string> str_keys;
-  str_keys.reserve(string_partitions_.size());
-  for (const auto& [k, op] : string_partitions_) str_keys.push_back(k);
-  std::sort(str_keys.begin(), str_keys.end());
-  w.U64(str_keys.size());
-  for (const std::string& k : str_keys) {
-    w.Str(k);
-    string_partitions_.at(k)->Checkpoint(w);
+  w.Envelope(static_cast<uint64_t>(num_events_));
+  const size_t cookie = w.BeginSection(tag);
+  w.I64(num_matches_);
+  w.U64(ints.size());
+  for (const IntEntry* e : ints) {
+    w.I64(e->first);
+    CheckpointOperatorState(w, e->second.deriver, e->second.engine);
+  }
+  w.U64(strings.size());
+  for (const StringEntry* e : strings) {
+    w.Str(e->first);
+    CheckpointOperatorState(w, e->second.deriver, e->second.engine);
   }
   w.EndSection(cookie);
 }
 
+void PartitionedTPStream::Checkpoint(ckpt::Writer& w) const {
+  std::vector<const IntEntry*> ints;
+  ints.reserve(int_partitions_.size());
+  for (const IntEntry& e : int_partitions_) ints.push_back(&e);
+  std::vector<const StringEntry*> strings;
+  strings.reserve(string_partitions_.size());
+  for (const StringEntry& e : string_partitions_) strings.push_back(&e);
+  Write(w, ckpt::Tag::kPartitioned, std::move(ints), std::move(strings));
+}
+
+void PartitionedTPStream::CheckpointIncremental(ckpt::Writer& w) const {
+  Write(w, ckpt::Tag::kPartitionedDelta,
+        {dirty_int_.begin(), dirty_int_.end()},
+        {dirty_string_.begin(), dirty_string_.end()});
+}
+
 Status PartitionedTPStream::Restore(ckpt::Reader& r, uint64_t* offset) {
+  return Read(r, ckpt::Tag::kPartitioned, offset);
+}
+
+Status PartitionedTPStream::RestoreIncremental(ckpt::Reader& r,
+                                               uint64_t* offset) {
+  return Read(r, ckpt::Tag::kPartitionedDelta, offset);
+}
+
+Status PartitionedTPStream::Read(ckpt::Reader& r, ckpt::Tag tag,
+                                 uint64_t* offset) {
   uint64_t off = 0;
   Status status = r.Envelope(&off);
   if (!status.ok()) return status;
-  const size_t end = r.BeginSection(ckpt::Tag::kPartitioned);
+  const size_t end = r.BeginSection(tag);
   const int64_t num_matches = r.I64();
+  if (tag == ckpt::Tag::kPartitioned) {
+    dirty_int_.clear();
+    dirty_string_.clear();
+    int_partitions_.clear();
+    string_partitions_.clear();
+  }
 
-  int_partitions_.clear();
-  string_partitions_.clear();
+  // A partition in the blob replaces any current state of its key.
+  auto restore = [&](Partition& p) {
+    p.deriver.Reset();
+    p.engine.Reset();
+    return RestoreOperatorState(r, &p.deriver, &p.engine);
+  };
+  auto unsorted = [&r] {
+    r.Fail(Status::ParseError(
+        "checkpoint: partition keys not strictly ascending"));
+    return r.status();
+  };
   const uint64_t num_int = r.U64();
   if (num_int > r.remaining()) {
     r.Fail(Status::ParseError("checkpoint: partition count exceeds input"));
     return r.status();
   }
+  int64_t prev_int = 0;
   for (uint64_t i = 0; i < num_int && r.ok(); ++i) {
     const int64_t key = r.I64();
-    auto& slot = int_partitions_[key];
-    slot = NewOperator();
-    status = slot->Restore(r);
+    if (i > 0 && key <= prev_int) return unsorted();
+    prev_int = key;
+    status = restore(Find(int_partitions_, key).second);
     if (!status.ok()) return status;
   }
   const uint64_t num_str = r.U64();
@@ -144,12 +216,13 @@ Status PartitionedTPStream::Restore(ckpt::Reader& r, uint64_t* offset) {
     r.Fail(Status::ParseError("checkpoint: partition count exceeds input"));
     return r.status();
   }
+  std::string prev_str;
   for (uint64_t i = 0; i < num_str && r.ok(); ++i) {
-    const std::string key = r.Str();
-    auto& slot = string_partitions_[key];
-    slot = NewOperator();
-    status = slot->Restore(r);
+    std::string key = r.Str();
+    if (i > 0 && key <= prev_str) return unsorted();
+    status = restore(Find(string_partitions_, key).second);
     if (!status.ok()) return status;
+    prev_str = std::move(key);
   }
   status = r.EndSection(end);
   if (!status.ok()) return status;
@@ -158,79 +231,7 @@ Status PartitionedTPStream::Restore(ckpt::Reader& r, uint64_t* offset) {
   // The in-memory state now equals the restored snapshot, which makes
   // that snapshot the incremental baseline: replayed events re-mark
   // their partitions dirty, which is exactly the post-checkpoint delta.
-  dirty_int_.clear();
-  dirty_string_.clear();
-  incremental_valid_ = true;
-  if (partitions_gauge_ != nullptr) {
-    partitions_gauge_->Set(static_cast<double>(num_partitions()));
-  }
-  if (offset != nullptr) *offset = off;
-  return Status::OK();
-}
-
-void PartitionedTPStream::CheckpointIncremental(ckpt::Writer& w) const {
-  w.Envelope(static_cast<uint64_t>(num_events_));
-  const size_t cookie = w.BeginSection(ckpt::Tag::kPartitionedDelta);
-  w.I64(num_matches_);
-
-  std::vector<int64_t> int_keys(dirty_int_.begin(), dirty_int_.end());
-  std::sort(int_keys.begin(), int_keys.end());
-  w.U64(int_keys.size());
-  for (int64_t k : int_keys) {
-    w.I64(k);
-    int_partitions_.at(k)->Checkpoint(w);
-  }
-
-  std::vector<std::string> str_keys(dirty_string_.begin(),
-                                    dirty_string_.end());
-  std::sort(str_keys.begin(), str_keys.end());
-  w.U64(str_keys.size());
-  for (const std::string& k : str_keys) {
-    w.Str(k);
-    string_partitions_.at(k)->Checkpoint(w);
-  }
-  w.EndSection(cookie);
-}
-
-Status PartitionedTPStream::RestoreIncremental(ckpt::Reader& r,
-                                               uint64_t* offset) {
-  uint64_t off = 0;
-  Status status = r.Envelope(&off);
-  if (!status.ok()) return status;
-  const size_t end = r.BeginSection(ckpt::Tag::kPartitionedDelta);
-  const int64_t num_matches = r.I64();
-
-  const uint64_t num_int = r.U64();
-  if (num_int > r.remaining()) {
-    r.Fail(Status::ParseError("checkpoint: partition count exceeds input"));
-    return r.status();
-  }
-  for (uint64_t i = 0; i < num_int && r.ok(); ++i) {
-    const int64_t key = r.I64();
-    auto& slot = int_partitions_[key];
-    slot = NewOperator();
-    status = slot->Restore(r);
-    if (!status.ok()) return status;
-  }
-  const uint64_t num_str = r.U64();
-  if (num_str > r.remaining()) {
-    r.Fail(Status::ParseError("checkpoint: partition count exceeds input"));
-    return r.status();
-  }
-  for (uint64_t i = 0; i < num_str && r.ok(); ++i) {
-    const std::string key = r.Str();
-    auto& slot = string_partitions_[key];
-    slot = NewOperator();
-    status = slot->Restore(r);
-    if (!status.ok()) return status;
-  }
-  status = r.EndSection(end);
-  if (!status.ok()) return status;
-  num_events_ = static_cast<int64_t>(off);
-  num_matches_ = num_matches;
-  dirty_int_.clear();
-  dirty_string_.clear();
-  incremental_valid_ = true;
+  MarkCheckpointBaseline();
   if (partitions_gauge_ != nullptr) {
     partitions_gauge_->Set(static_cast<double>(num_partitions()));
   }
@@ -239,6 +240,8 @@ Status PartitionedTPStream::RestoreIncremental(ckpt::Reader& r,
 }
 
 void PartitionedTPStream::MarkCheckpointBaseline() {
+  for (IntEntry* e : dirty_int_) e->second.dirty = false;
+  for (StringEntry* e : dirty_string_) e->second.dirty = false;
   dirty_int_.clear();
   dirty_string_.clear();
   incremental_valid_ = true;
@@ -246,8 +249,10 @@ void PartitionedTPStream::MarkCheckpointBaseline() {
 
 size_t PartitionedTPStream::BufferedCount() const {
   size_t total = 0;
-  for (const auto& [k, op] : int_partitions_) total += op->BufferedCount();
-  for (const auto& [k, op] : string_partitions_) total += op->BufferedCount();
+  for (const auto& [k, p] : int_partitions_) total += p.engine.BufferedCount();
+  for (const auto& [k, p] : string_partitions_) {
+    total += p.engine.BufferedCount();
+  }
   return total;
 }
 

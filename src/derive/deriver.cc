@@ -9,13 +9,50 @@ namespace tpstream {
 Deriver::Deriver(std::vector<SituationDefinition> definitions,
                  bool announce_starts, obs::MetricsRegistry* metrics,
                  DeriveOptions options)
-    : defs_(std::move(definitions)),
-      announce_starts_(announce_starts),
-      options_(options) {
-  slots_.reserve(defs_.size());
-  for (const SituationDefinition& def : defs_) {
+    : Deriver(std::make_shared<Program>(std::move(definitions),
+                                        announce_starts, metrics,
+                                        std::move(options))) {}
+
+Deriver::Deriver(std::shared_ptr<Program> program)
+    : program_(std::move(program)) {
+  slots_.reserve(program_->defs_.size());
+  for (const SituationDefinition& def : program_->defs_) {
     slots_.emplace_back(def.aggregates);
   }
+}
+
+int Deriver::num_definitions() const {
+  return static_cast<int>(program_->defs_.size());
+}
+
+const SituationDefinition& Deriver::definition(int i) const {
+  return program_->defs_[i];
+}
+
+int Deriver::num_compiled_programs() const {
+  return static_cast<int>(program_->programs_.size());
+}
+
+int64_t Deriver::program_cache_hits() const {
+  return program_->program_cache_hits_;
+}
+
+bool Deriver::compiled() const {
+  return program_->options_.compiled_predicates;
+}
+
+const char* Deriver::simd_level() const {
+  return compiled() ? simd::SimdLevelName(
+                          simd::Effective(program_->exec_scratch_.simd))
+                    : "off";
+}
+
+Deriver::Program::Program(std::vector<SituationDefinition> definitions,
+                          bool announce_starts, obs::MetricsRegistry* metrics,
+                          DeriveOptions options)
+    : defs_(std::move(definitions)),
+      announce_starts_(announce_starts),
+      options_(std::move(options)) {
   if (options_.compiled_predicates) {
     if (!options_.simd.empty()) {
       simd::SimdLevel level;
@@ -41,7 +78,7 @@ Deriver::Deriver(std::vector<SituationDefinition> definitions,
   }
 }
 
-void Deriver::CompilePredicates() {
+void Deriver::Program::CompilePredicates() {
   // One program per distinct predicate fingerprint: definitions that
   // differ only in aggregates/duration (or symbol name) share code, the
   // same keying the multi-query engine uses to share whole definitions.
@@ -104,6 +141,10 @@ void AntiTranspose64(uint64_t m[64]) {
 }  // namespace
 
 void Deriver::PrepareBatch(std::span<const Event> events) {
+  program_->PrepareBatch(events);
+}
+
+void Deriver::Program::PrepareBatch(std::span<const Event> events) {
   batch_base_ = nullptr;
   if (!options_.compiled_predicates || events.empty() ||
       programs_.empty()) {
@@ -141,7 +182,16 @@ void Deriver::PrepareBatch(std::span<const Event> events) {
   batch_cursor_ = 0;
 }
 
-bool Deriver::EvalCompiled(int def, const Event& event) const {
+void Deriver::Program::ForgetBatch() {
+  update_.started.clear();
+  update_.finished.clear();
+  batch_base_ = nullptr;
+  batch_n_ = 0;
+  batch_words_ = 0;
+  batch_cursor_ = 0;
+}
+
+bool Deriver::Program::EvalCompiled(int def, const Event& event) const {
   const int p = program_of_def_[def];
   if (p < 0 || batch_base_ == nullptr) {
     return EvalPredicate(*defs_[def].predicate, event.payload);
@@ -153,7 +203,8 @@ bool Deriver::EvalCompiled(int def, const Event& event) const {
 }
 
 void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
-  const SituationDefinition& def = defs_[i];
+  Program& p = *program_;
+  const SituationDefinition& def = p.defs_[i];
   Slot& slot = slots_[i];
   if (satisfied) {
     if (!slot.active) {
@@ -162,28 +213,28 @@ void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
       slot.ts = event.t;
       slot.aggs.Init(event.payload);
       if (i < 64) active_mask_ |= uint64_t{1} << i;
-      if (opened_ctr_ != nullptr) opened_ctr_->Inc();
+      if (p.opened_ctr_ != nullptr) p.opened_ctr_->Inc();
     } else {
       slot.aggs.Update(event.payload);
     }
     // Low-latency announcement once the eventual duration is guaranteed
     // to reach the minimum (the end timestamp will be > event.t).
-    if (announce_starts_ && !slot.announced && !def.duration.has_max() &&
+    if (p.announce_starts_ && !slot.announced && !def.duration.has_max() &&
         event.t + 1 - slot.ts >= def.duration.min) {
       slot.announced = true;
-      if (announced_ctr_ != nullptr) announced_ctr_->Inc();
-      update_.started.push_back(SymbolSituation{
+      if (p.announced_ctr_ != nullptr) p.announced_ctr_->Inc();
+      p.update_.started.push_back(SymbolSituation{
           i, Situation(slot.aggs.Snapshot(), slot.ts, kTimeUnknown)});
     }
   } else if (slot.active) {
     // First non-satisfying event fixes the end timestamp (half-open).
     const TimePoint te = event.t;
     if (def.duration.Contains(te - slot.ts)) {
-      if (finished_ctr_ != nullptr) finished_ctr_->Inc();
-      update_.finished.push_back(
+      if (p.finished_ctr_ != nullptr) p.finished_ctr_->Inc();
+      p.update_.finished.push_back(
           SymbolSituation{i, Situation(slot.aggs.Snapshot(), slot.ts, te)});
-    } else if (discarded_ctr_ != nullptr) {
-      discarded_ctr_->Inc();
+    } else if (p.discarded_ctr_ != nullptr) {
+      p.discarded_ctr_->Inc();
     }
     slot.active = false;
     slot.announced = false;
@@ -192,19 +243,21 @@ void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
 }
 
 Deriver::Update& Deriver::Process(const Event& event) {
-  update_.started.clear();
-  update_.finished.clear();
-  if (events_ctr_ != nullptr) {
-    events_ctr_->Inc();
-    predicate_evals_ctr_->Inc(static_cast<int64_t>(defs_.size()));
+  Program& p = *program_;
+  p.update_.started.clear();
+  p.update_.finished.clear();
+  if (p.events_ctr_ != nullptr) {
+    p.events_ctr_->Inc();
+    p.predicate_evals_ctr_->Inc(static_cast<int64_t>(p.defs_.size()));
   }
 
-  const bool compiled = options_.compiled_predicates;
-  if (compiled && batch_base_ != nullptr &&
-      (batch_cursor_ >= batch_n_ || &event != batch_base_ + batch_cursor_)) {
+  const bool compiled = p.options_.compiled_predicates;
+  if (compiled && p.batch_base_ != nullptr &&
+      (p.batch_cursor_ >= p.batch_n_ ||
+       &event != p.batch_base_ + p.batch_cursor_)) {
     // The caller deviated from the announced batch (or consumed it);
     // drop the precomputed rows and evaluate with the interpreter.
-    batch_base_ = nullptr;
+    p.batch_base_ = nullptr;
   }
 
   // Sparse fast path: the transposed bitmap hands us this event's
@@ -215,28 +268,28 @@ Deriver::Update& Deriver::Process(const Event& event) {
   // started/finished emission order); on a quiet event it runs zero
   // iterations. This is where the columnar bitmaps pay off: a
   // definition whose predicate rarely flips costs nothing per event.
-  if (compiled && batch_base_ != nullptr && sparse_masks_ok_) {
+  if (compiled && p.batch_base_ != nullptr && p.sparse_masks_ok_) {
     uint64_t sat_defs = 0;
-    for (uint64_t pm = batch_row_mask_[batch_cursor_]; pm != 0;
+    for (uint64_t pm = p.batch_row_mask_[p.batch_cursor_]; pm != 0;
          pm &= pm - 1) {
-      sat_defs |= def_mask_of_prog_[std::countr_zero(pm)];
+      sat_defs |= p.def_mask_of_prog_[std::countr_zero(pm)];
     }
     for (uint64_t work = sat_defs | active_mask_; work != 0;
          work &= work - 1) {
       const int i = std::countr_zero(work);
       ApplyDef(i, event, (sat_defs >> i & 1) != 0);
     }
-    ++batch_cursor_;
-    return update_;
+    ++p.batch_cursor_;
+    return p.update_;
   }
 
-  for (int i = 0; i < static_cast<int>(defs_.size()); ++i) {
+  for (int i = 0; i < static_cast<int>(p.defs_.size()); ++i) {
     ApplyDef(i, event,
-             compiled ? EvalCompiled(i, event)
-                      : EvalPredicate(*defs_[i].predicate, event.payload));
+             compiled ? p.EvalCompiled(i, event)
+                      : EvalPredicate(*p.defs_[i].predicate, event.payload));
   }
-  if (compiled && batch_base_ != nullptr) ++batch_cursor_;
-  return update_;
+  if (compiled && p.batch_base_ != nullptr) ++p.batch_cursor_;
+  return p.update_;
 }
 
 void Deriver::Reset() {
@@ -245,12 +298,7 @@ void Deriver::Reset() {
     slot.announced = false;
     slot.ts = 0;
   }
-  update_.started.clear();
-  update_.finished.clear();
-  batch_base_ = nullptr;
-  batch_n_ = 0;
-  batch_words_ = 0;
-  batch_cursor_ = 0;
+  program_->ForgetBatch();
   active_mask_ = 0;
 }
 
@@ -281,12 +329,7 @@ Status Deriver::Restore(ckpt::Reader& r) {
     Status status = slot.aggs.Restore(r);
     if (!status.ok()) return status;
   }
-  update_.started.clear();
-  update_.finished.clear();
-  batch_base_ = nullptr;
-  batch_n_ = 0;
-  batch_words_ = 0;
-  batch_cursor_ = 0;
+  program_->ForgetBatch();
   active_mask_ = 0;
   for (size_t i = 0; i < slots_.size() && i < 64; ++i) {
     if (slots_[i].active) active_mask_ |= uint64_t{1} << i;
@@ -296,8 +339,8 @@ Status Deriver::Restore(ckpt::Reader& r) {
 
 std::vector<DurationConstraint> Deriver::durations() const {
   std::vector<DurationConstraint> out;
-  out.reserve(defs_.size());
-  for (const SituationDefinition& def : defs_) {
+  out.reserve(program_->defs_.size());
+  for (const SituationDefinition& def : program_->defs_) {
     out.push_back(def.duration);
   }
   return out;

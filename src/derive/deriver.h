@@ -52,6 +52,11 @@ struct DeriveOptions {
 ///    strictly increasing, so the end timestamp will be at least t + 1);
 ///  - any maximum: never announced; such situations take part in matching
 ///    only once finished (and the constraint is validated then).
+///
+/// The deriver holds only stream state: one open-situation slot per
+/// definition. The definitions, their compiled programs, the metric
+/// handles and all per-event scratch form the query's Program, which the
+/// derivers of every PARTITION BY key share.
 class Deriver {
  public:
   /// Situations started / finished while processing one event.
@@ -61,6 +66,8 @@ class Deriver {
 
     bool empty() const { return started.empty() && finished.empty(); }
   };
+
+  class Program;
 
   /// `metrics`, when non-null, receives the `deriver.*` counters (events,
   /// predicate evaluations, situations opened / announced / finished /
@@ -75,8 +82,12 @@ class Deriver {
           obs::MetricsRegistry* metrics = nullptr,
           DeriveOptions options = {});
 
+  /// A deriver over a shared program: fresh slots, nothing compiled.
+  explicit Deriver(std::shared_ptr<Program> program);
+
   /// Processes one event; events must arrive in strictly increasing
-  /// timestamp order. The returned reference is valid until the next call.
+  /// timestamp order. The returned reference is valid until the next call
+  /// on any deriver sharing this one's program.
   /// The reference is mutable so the operator hot path can *move* the
   /// started/finished situations straight into the matcher buffers; the
   /// scratch vectors are cleared on the next Process() regardless.
@@ -105,16 +116,16 @@ class Deriver {
     return slots_[symbol].aggs.Snapshot();
   }
 
-  int num_definitions() const { return static_cast<int>(defs_.size()); }
-  const SituationDefinition& definition(int i) const { return defs_[i]; }
+  int num_definitions() const;
+  const SituationDefinition& definition(int i) const;
 
   /// Duration constraints in symbol order (input to DetectionAnalysis).
   std::vector<DurationConstraint> durations() const;
 
   /// Returns the deriver to its freshly-constructed stream state: every
   /// open situation slot is closed (without emitting) and any announced
-  /// batch is forgotten. Definitions and compiled programs are
-  /// configuration and survive.
+  /// batch is forgotten. The program — definitions, compiled predicates —
+  /// is configuration and survives.
   void Reset();
 
   /// Serializes the per-definition open-situation slots (active flag,
@@ -131,20 +142,14 @@ class Deriver {
   /// Compiled-mode introspection (0 in interpreter mode): distinct
   /// bytecode programs, and definitions that reused a sibling's program
   /// because their predicate fingerprints matched.
-  int num_compiled_programs() const {
-    return static_cast<int>(programs_.size());
-  }
-  int64_t program_cache_hits() const { return program_cache_hits_; }
-  bool compiled() const { return options_.compiled_predicates; }
+  int num_compiled_programs() const;
+  int64_t program_cache_hits() const;
+  bool compiled() const;
 
   /// Active SIMD tier name for columnar evaluation ("off" when not in
   /// compiled mode, else "off"/"sse2"/"avx2" after clamping the request
   /// to machine capability).
-  const char* simd_level() const {
-    return options_.compiled_predicates
-               ? simd::SimdLevelName(simd::Effective(exec_scratch_.simd))
-               : "off";
-  }
+  const char* simd_level() const;
 
  private:
   struct Slot {
@@ -157,15 +162,48 @@ class Deriver {
         : aggs(std::move(specs)) {}
   };
 
-  void CompilePredicates();
-  bool EvalCompiled(int def, const Event& event) const;
   void ApplyDef(int i, const Event& event, bool satisfied);
 
-  std::vector<SituationDefinition> defs_;
+  std::shared_ptr<Program> program_;
   std::vector<Slot> slots_;
+  // Mirrors slot.active for definitions < 64 (the sparse batch path).
+  uint64_t active_mask_ = 0;
+};
+
+/// The per-query half of derivation: the definitions, their compiled
+/// predicate programs, the metric handles and the per-event scratch (the
+/// Update handed to callers, the prepared batch's columns and bitmaps).
+/// Built once per query; the derivers of every partition share it.
+/// Single-threaded, like the derivers.
+class Deriver::Program {
+ public:
+  Program(std::vector<SituationDefinition> definitions, bool announce_starts,
+          obs::MetricsRegistry* metrics = nullptr, DeriveOptions options = {});
+  Program(const Program&) = delete;
+  Program& operator=(const Program&) = delete;
+
+ private:
+  friend class Deriver;
+
+  void CompilePredicates();
+  void PrepareBatch(std::span<const Event> events);
+  bool EvalCompiled(int def, const Event& event) const;
+  void ForgetBatch();
+
+  // Fields every Process() reads come first, so that the derivers of
+  // many keys, each on a private program (a key per operator), touch
+  // few cache lines per event.
+  std::vector<SituationDefinition> defs_;
+  Update update_;
+  // Observability handles (null when metrics are disabled).
+  obs::Counter* events_ctr_ = nullptr;
+  obs::Counter* predicate_evals_ctr_ = nullptr;
+  obs::Counter* opened_ctr_ = nullptr;
+  obs::Counter* announced_ctr_ = nullptr;
+  obs::Counter* finished_ctr_ = nullptr;
+  obs::Counter* discarded_ctr_ = nullptr;
   bool announce_starts_;
   DeriveOptions options_;
-  Update update_;
 
   // Compiled-predicate state (empty in interpreter mode). Definitions
   // with fingerprint-equal predicates share one program: program_of_def_
@@ -193,23 +231,14 @@ class Deriver {
   // transposes the program bitmaps into batch_row_mask_: bit p of
   // batch_row_mask_[row] is program p's predicate over batch event
   // `row`. def_mask_of_prog_[p] is the set of definitions sharing
-  // program p, and active_mask_ mirrors slot.active for definitions
-  // < 64. Process() then walks only the set bits of
+  // program p, and the deriver's active_mask_ mirrors slot.active for
+  // definitions < 64. Process() then walks only the set bits of
   // (satisfied | active): a clear bit is a definition that can neither
   // open, extend, nor close a situation on this event. Other
   // configurations run the dense loop over batch_bits_.
   std::vector<uint64_t> batch_row_mask_;
   std::vector<uint64_t> def_mask_of_prog_;
-  uint64_t active_mask_ = 0;
   bool sparse_masks_ok_ = false;
-
-  // Observability handles (null when metrics are disabled).
-  obs::Counter* events_ctr_ = nullptr;
-  obs::Counter* predicate_evals_ctr_ = nullptr;
-  obs::Counter* opened_ctr_ = nullptr;
-  obs::Counter* announced_ctr_ = nullptr;
-  obs::Counter* finished_ctr_ = nullptr;
-  obs::Counter* discarded_ctr_ = nullptr;
 };
 
 }  // namespace tpstream

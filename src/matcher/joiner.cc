@@ -9,12 +9,11 @@ namespace tpstream {
 using robust::SaturatingAdd;
 using robust::SaturatingMul;
 
-PatternJoiner::PatternJoiner(const TemporalPattern* pattern, Duration window)
-    : pattern_(pattern), window_(window) {
-  buffers_.resize(pattern->num_symbols());
-  std::vector<int> identity(pattern->num_symbols());
+PatternJoiner::PatternJoiner(MatcherProgram* program)
+    : program_(program), buffers_(program->pattern.num_symbols()) {
+  std::vector<int> identity(buffers_.size());
   std::iota(identity.begin(), identity.end(), 0);
-  order_ = EvaluationOrder::Build(*pattern, identity);
+  order_ = program_->Order(identity);
 }
 
 void PatternJoiner::Reset() {
@@ -29,7 +28,7 @@ void PatternJoiner::Checkpoint(ckpt::Writer& w) const {
   for (const SituationBuffer& b : buffers_) b.Checkpoint(w);
   w.I64(shed_situations_);
   w.I64(lost_match_bound_);
-  const std::vector<int> perm = order_.Permutation();
+  const std::vector<int> perm = order_->Permutation();
   w.U32(static_cast<uint32_t>(perm.size()));
   for (int s : perm) w.U32(static_cast<uint32_t>(s));
   w.EndSection(cookie);
@@ -64,23 +63,8 @@ Status PatternJoiner::Restore(ckpt::Reader& r) {
   }
   Status status = r.EndSection(end);
   if (!status.ok()) return status;
-  if (perm.size() == buffers_.size()) {
-    order_ = EvaluationOrder::Build(*pattern_, perm);
-  }
+  if (perm.size() == buffers_.size()) order_ = program_->Order(perm);
   return Status::OK();
-}
-
-void PatternJoiner::EnableMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  shed_situations_ctr_ = registry->GetCounter("robust.shed_situations");
-  lost_match_bound_ctr_ =
-      registry->GetCounter("robust.lost_match_upper_bound");
-  probes_ctr_ = registry->GetCounter("matcher.probes");
-  range_queries_ctr_ = registry->GetCounter("matcher.range_queries");
-  range_query_hits_ctr_ = registry->GetCounter("matcher.range_query_hits");
-  partial_configs_ctr_ = registry->GetCounter("matcher.partial_configs");
-  full_matches_ctr_ = registry->GetCounter("matcher.full_matches");
-  window_rejects_ctr_ = registry->GetCounter("matcher.window_rejects");
 }
 
 size_t PatternJoiner::BufferedCount() const {
@@ -90,8 +74,8 @@ size_t PatternJoiner::BufferedCount() const {
 }
 
 void PatternJoiner::EnforceCap(int symbol) {
-  if (situation_cap_ == 0) return;
-  const size_t cap = situation_cap_;
+  const size_t cap = program_->situation_cap;
+  if (cap == 0) return;
   SituationBuffer& buf = buffers_[symbol];
   if (buf.size() <= cap) return;
 
@@ -120,18 +104,18 @@ void PatternJoiner::EnforceCap(int symbol) {
   const int64_t before = lost_match_bound_;
   lost_match_bound_ =
       SaturatingAdd(lost_match_bound_, SaturatingMul(evicted, per_evicted));
-  if (shed_situations_ctr_ != nullptr) {
-    shed_situations_ctr_->Inc(evicted);
-    lost_match_bound_ctr_->IncSaturating(lost_match_bound_ - before);
+  if (program_->shed_situations_ctr != nullptr) {
+    program_->shed_situations_ctr->Inc(evicted);
+    program_->lost_match_bound_ctr->IncSaturating(lost_match_bound_ - before);
   }
 }
 
 void PatternJoiner::Enumerate(std::vector<const Situation*>& working_set,
                               TimePoint now, const EmitFn& emit,
                               MatcherStats* stats) {
-  if (probes_ctr_ != nullptr) probes_ctr_->Inc();
-  if (step_scratch_.size() < order_.steps().size()) {
-    step_scratch_.resize(order_.steps().size());
+  if (program_->probes_ctr != nullptr) program_->probes_ctr->Inc();
+  if (program_->step_scratch.size() < order_->steps().size()) {
+    program_->step_scratch.resize(order_->steps().size());
   }
   Step(working_set, 0, now, emit, stats);
 }
@@ -139,11 +123,11 @@ void PatternJoiner::Enumerate(std::vector<const Situation*>& working_set,
 void PatternJoiner::Step(std::vector<const Situation*>& ws, size_t step_index,
                          TimePoint now, const EmitFn& emit,
                          MatcherStats* stats) {
-  if (step_index == order_.steps().size()) {
+  if (step_index == order_->steps().size()) {
     EmitIfWindowOk(ws, now, emit);
     return;
   }
-  const EvalStep& step = order_.steps()[step_index];
+  const EvalStep& step = order_->steps()[step_index];
   if (ws[step.symbol] != nullptr) {
     // The symbol was pre-bound by the caller (the new situation in
     // Algorithm 2, or started situations in Algorithm 4): skip its buffer
@@ -156,10 +140,10 @@ void PatternJoiner::Step(std::vector<const Situation*>& ws, size_t step_index,
   // The per-depth scratch keeps the reference stable across the recursive
   // Step calls below (deeper levels use their own scratch slot).
   const IndexRanges& candidates =
-      FindCandidates(step, ws, stats, step_scratch_[step_index]);
+      FindCandidates(step, ws, stats, program_->step_scratch[step_index]);
   const SituationBuffer& buf = buffers_[step.symbol];
-  if (partial_configs_ctr_ != nullptr) {
-    partial_configs_ctr_->Inc(
+  if (program_->partial_configs_ctr != nullptr) {
+    program_->partial_configs_ctr->Inc(
         static_cast<int64_t>(candidates.TotalSize()));
   }
   candidates.ForEach([&](uint32_t idx) {
@@ -175,7 +159,7 @@ bool PatternJoiner::CheckBound(const EvalStep& step,
   for (const EvalStep::Touching& t : step.constraints) {
     const Situation* other = ws[t.other_symbol];
     if (other == nullptr) continue;  // checked at the other symbol's step
-    const TemporalConstraint& c = pattern_->constraints()[t.constraint];
+    const TemporalConstraint& c = program_->pattern.constraints()[t.constraint];
     const Situation& sa = t.symbol_is_a ? self : *other;
     const Situation& sb = t.symbol_is_a ? *other : self;
     if (c.Check(sa, sb) != Certainty::kCertain) return false;
@@ -197,7 +181,8 @@ const IndexRanges& PatternJoiner::FindCandidatesNaive(
     for (const EvalStep::Touching& t : step.constraints) {
       const Situation* other = ws[t.other_symbol];
       if (other == nullptr) continue;
-      const TemporalConstraint& c = pattern_->constraints()[t.constraint];
+      const TemporalConstraint& c =
+          program_->pattern.constraints()[t.constraint];
       const Situation& sa = t.symbol_is_a ? candidate : *other;
       const Situation& sb = t.symbol_is_a ? *other : candidate;
       if (c.Check(sa, sb) != Certainty::kCertain) {
@@ -214,7 +199,7 @@ const IndexRanges& PatternJoiner::FindCandidates(
     const EvalStep& step, const std::vector<const Situation*>& ws,
     MatcherStats* stats, StepScratch& scratch) {
   const SituationBuffer& buf = buffers_[step.symbol];
-  if (naive_scan_ && !buf.empty()) {
+  if (program_->naive_scan && !buf.empty()) {
     return FindCandidatesNaive(step, ws, scratch);
   }
   IndexRanges& result = scratch.result;
@@ -226,7 +211,7 @@ const IndexRanges& PatternJoiner::FindCandidates(
   for (const EvalStep::Touching& t : step.constraints) {
     const Situation* other = ws[t.other_symbol];
     if (other == nullptr) continue;
-    const TemporalConstraint& c = pattern_->constraints()[t.constraint];
+    const TemporalConstraint& c = program_->pattern.constraints()[t.constraint];
 
     // Union of the index ranges of the constraint's relations. The
     // candidate plays role A iff this step's symbol is the constraint's A.
@@ -238,9 +223,9 @@ const IndexRanges& PatternJoiner::FindCandidates(
       per_constraint.Add(buf.Find(*bounds));
     });
 
-    if (range_queries_ctr_ != nullptr) {
-      range_queries_ctr_->Inc();
-      range_query_hits_ctr_->Inc(
+    if (program_->range_queries_ctr != nullptr) {
+      program_->range_queries_ctr->Inc();
+      program_->range_query_hits_ctr->Inc(
           static_cast<int64_t>(per_constraint.TotalSize()));
     }
     if (stats != nullptr) {
@@ -276,21 +261,22 @@ void PatternJoiner::EmitIfWindowOk(const std::vector<const Situation*>& ws,
     const TimePoint te = s->ongoing() ? now : s->te;
     if (te > max_te) max_te = te;
   }
-  if (max_te - min_ts > window_) {
-    if (window_rejects_ctr_ != nullptr) window_rejects_ctr_->Inc();
+  if (max_te - min_ts > program_->window) {
+    if (program_->window_rejects_ctr != nullptr) {
+      program_->window_rejects_ctr->Inc();
+    }
     return;
   }
-  if (full_matches_ctr_ != nullptr) full_matches_ctr_->Inc();
+  if (program_->full_matches_ctr != nullptr) program_->full_matches_ctr->Inc();
 
   // The scratch match is reused across emissions; the reference passed to
   // the callback is only valid during the call (callbacks copy what they
   // keep).
-  scratch_match_.detected_at = now;
-  if (scratch_match_.config.size() != ws.size()) {
-    scratch_match_.config.resize(ws.size());
-  }
-  for (size_t i = 0; i < ws.size(); ++i) scratch_match_.config[i] = *ws[i];
-  emit(scratch_match_);
+  Match& match = program_->scratch_match;
+  match.detected_at = now;
+  if (match.config.size() != ws.size()) match.config.resize(ws.size());
+  for (size_t i = 0; i < ws.size(); ++i) match.config[i] = *ws[i];
+  emit(match);
 }
 
 }  // namespace tpstream

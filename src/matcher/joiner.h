@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "matcher/eval_order.h"
 #include "matcher/match.h"
+#include "matcher/matcher_program.h"
 #include "matcher/situation_buffer.h"
 #include "matcher/stats.h"
 #include "obs/metrics.h"
@@ -25,26 +26,28 @@ namespace tpstream {
 /// a constraint and intersected across constraints (Section 5.2,
 /// Figure 3). Bound entries may be ongoing; every emitted configuration is
 /// *certain* to match (three-valued constraint evaluation).
+///
+/// The joiner holds the stream state (buffers, current order, shed
+/// accounting); configuration, metric handles and scratch belong to the
+/// query's MatcherProgram, which must outlive it. Settings made through
+/// the joiner (naive scan, caps) are the program's, so they
+/// apply to every joiner sharing it.
 class PatternJoiner {
  public:
-  PatternJoiner(const TemporalPattern* pattern, Duration window);
+  /// Starts with empty buffers and the identity evaluation order.
+  explicit PatternJoiner(MatcherProgram* program);
 
-  void SetOrder(EvaluationOrder order) { order_ = std::move(order); }
-  const EvaluationOrder& order() const { return order_; }
+  /// Installs the order visiting symbols in `permutation`.
+  void SetOrder(const std::vector<int>& permutation) {
+    order_ = program_->Order(permutation);
+  }
+  const EvaluationOrder& order() const { return *order_; }
 
   /// Ablation switch: scan buffers linearly and test every candidate
   /// against the constraints (the naive strategy of Equation 1) instead
   /// of binary-search range queries (Equation 2). Results are identical;
   /// only the cost differs. Used by bench_ablation_rangequery.
-  void SetNaiveScan(bool naive) { naive_scan_ = naive; }
-
-  /// Registers the `matcher.*` join-core counters (probes, range queries
-  /// and their hits, partial configurations, full matches, window
-  /// rejects) with `registry` and starts recording into them, plus the
-  /// `robust.shed_situations` / `robust.lost_match_upper_bound` overload
-  /// counters. Disabled (null handles, a dead branch per site) by
-  /// default.
-  void EnableMetrics(obs::MetricsRegistry* registry);
+  void SetNaiveScan(bool naive) { program_->naive_scan = naive; }
 
   /// Overload protection (Degradation contract): caps every symbol
   /// buffer at `max_per_buffer` finished situations. 0 disables the cap;
@@ -53,9 +56,9 @@ class PatternJoiner {
   /// configuration). Enforcement happens via EnforceCap() after each
   /// append; evictions drop the *oldest* situations and are accounted.
   void SetSituationCap(size_t max_per_buffer) {
-    situation_cap_ = max_per_buffer;
+    program_->situation_cap = max_per_buffer;
   }
-  size_t situation_cap() const { return situation_cap_; }
+  size_t situation_cap() const { return program_->situation_cap; }
 
   /// Evicts `symbol`'s buffer down to the cap (oldest first), updating
   /// the shed accounting. Called by the matchers right after appending.
@@ -104,14 +107,7 @@ class PatternJoiner {
                  const EmitFn& emit, MatcherStats* stats);
 
  private:
-  /// Reused per evaluation depth (Step recursion level): candidate-set
-  /// construction never allocates in steady state because the range
-  /// vectors keep their capacity across probes.
-  struct StepScratch {
-    IndexRanges result;
-    IndexRanges per_constraint;
-    IndexRanges tmp;
-  };
+  using StepScratch = MatcherProgram::StepScratch;
 
   void Step(std::vector<const Situation*>& ws, size_t step_index,
             TimePoint now, const EmitFn& emit, MatcherStats* stats);
@@ -138,30 +134,13 @@ class PatternJoiner {
       const EvalStep& step, const std::vector<const Situation*>& ws,
       StepScratch& scratch) const;
 
-  const TemporalPattern* pattern_;
-  Duration window_;
-  EvaluationOrder order_;
+  MatcherProgram* program_;
+  const EvaluationOrder* order_;
   std::vector<SituationBuffer> buffers_;
-  bool naive_scan_ = false;
-  std::vector<StepScratch> step_scratch_;  // indexed by recursion depth
 
-  // Overload shedding state (Degradation contract).
-  size_t situation_cap_ = 0;  // 0 = unbounded
+  // Overload shedding accounting (Degradation contract).
   int64_t shed_situations_ = 0;
   int64_t lost_match_bound_ = 0;
-
-  // Observability handles (null when metrics are disabled).
-  obs::Counter* shed_situations_ctr_ = nullptr;
-  obs::Counter* lost_match_bound_ctr_ = nullptr;
-  obs::Counter* probes_ctr_ = nullptr;
-  obs::Counter* range_queries_ctr_ = nullptr;
-  obs::Counter* range_query_hits_ctr_ = nullptr;
-  obs::Counter* partial_configs_ctr_ = nullptr;
-  obs::Counter* full_matches_ctr_ = nullptr;
-  obs::Counter* window_rejects_ctr_ = nullptr;
-  // Reused per emission; the Match reference handed to EmitFn is valid
-  // only for the duration of the call.
-  mutable Match scratch_match_;
 };
 
 }  // namespace tpstream

@@ -29,18 +29,22 @@ LowLatencyMatcher::LowLatencyMatcher(TemporalPattern pattern,
                                      DetectionAnalysis analysis,
                                      Duration window, MatchCallback callback,
                                      double stats_alpha)
-    : pattern_(std::move(pattern)),
-      analysis_(std::move(analysis)),
-      window_(window),
+    : LowLatencyMatcher(
+          std::make_shared<MatcherProgram>(std::move(pattern), window,
+                                           stats_alpha, std::move(analysis)),
+          std::move(callback)) {}
+
+LowLatencyMatcher::LowLatencyMatcher(std::shared_ptr<MatcherProgram> program,
+                                     MatchCallback callback)
+    : program_(std::move(program)),
       callback_(std::move(callback)),
-      joiner_(&pattern_, window),
-      stats_(pattern_, stats_alpha),
-      started_(pattern_.num_symbols()),
-      working_set_(pattern_.num_symbols(), nullptr) {}
+      joiner_(program_.get()),
+      stats_(program_->initial_stats),
+      started_(program_->pattern.num_symbols()) {}
 
 void LowLatencyMatcher::SetEvaluationOrder(
     const std::vector<int>& permutation) {
-  joiner_.SetOrder(EvaluationOrder::Build(pattern_, permutation));
+  joiner_.SetOrder(permutation);
 }
 
 void LowLatencyMatcher::Reset() {
@@ -53,7 +57,7 @@ void LowLatencyMatcher::Reset() {
   emitted_.clear();
   emitted_sweep_threshold_ = 1024;
   shed_trigger_candidates_ = 0;
-  stats_ = MatcherStats(pattern_, stats_.alpha());
+  stats_ = program_->initial_stats;
 }
 
 void LowLatencyMatcher::Checkpoint(ckpt::Writer& w) const {
@@ -118,25 +122,22 @@ Status LowLatencyMatcher::Restore(ckpt::Reader& r) {
 }
 
 void LowLatencyMatcher::EnableMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  joiner_.EnableMetrics(registry);
-  triggers_ctr_ = registry->GetCounter("matcher.triggers");
-  dedup_hits_ctr_ = registry->GetCounter("matcher.dedup_hits");
-  shed_trigger_ctr_ = registry->GetCounter("robust.shed_trigger_candidates");
+  program_->EnableMetrics(registry, /*low_latency=*/true);
 }
 
 void LowLatencyMatcher::Update(const std::vector<SymbolSituation>& started,
                                const std::vector<SymbolSituation>& finished,
                                TimePoint now) {
-  scratch_started_.assign(started.begin(), started.end());
-  scratch_finished_.assign(finished.begin(), finished.end());
-  Consume(scratch_started_, scratch_finished_, now);
+  program_->scratch_started.assign(started.begin(), started.end());
+  program_->scratch_finished.assign(finished.begin(), finished.end());
+  Consume(program_->scratch_started, program_->scratch_finished, now);
 }
 
 void LowLatencyMatcher::Consume(std::vector<SymbolSituation>& started,
                                 std::vector<SymbolSituation>& finished,
                                 TimePoint now) {
-  joiner_.PurgeBefore(now - window_);
+  const DetectionAnalysis& analysis = program_->analysis;
+  joiner_.PurgeBefore(now - program_->window);
 
   // Migrate every situation finishing now before running end triggers, so
   // that simultaneously ending counterparts (equals / finishes /
@@ -149,14 +150,14 @@ void LowLatencyMatcher::Consume(std::vector<SymbolSituation>& started,
     joiner_.EnforceCap(ss.symbol);
   }
   for (const SymbolSituation& ss : finished) {
-    if (!analysis_.match_on_end(ss.symbol)) continue;
+    if (!analysis.match_on_end(ss.symbol)) continue;
     // A configuration completed purely by already-finished situations can
     // only have its latest endpoint here if some relation ends
     // simultaneously with this one; otherwise an earlier trigger covered
     // it. Symbols excluded while ongoing defer all their triggers to the
     // end, so for them the bare combination is always admissible.
-    const bool allow_bare = analysis_.has_simultaneous_end(ss.symbol) ||
-                            analysis_.excluded_while_ongoing(ss.symbol);
+    const bool allow_bare = analysis.has_simultaneous_end(ss.symbol) ||
+                            analysis.excluded_while_ongoing(ss.symbol);
     Trigger(ss.symbol, joiner_.buffer(ss.symbol).Back(), allow_bare, now);
   }
 
@@ -166,18 +167,18 @@ void LowLatencyMatcher::Consume(std::vector<SymbolSituation>& started,
   // counterpart in its buffer.
   for (SymbolSituation& ss : started) {
     started_[ss.symbol] = std::move(ss.situation);
-    if (!analysis_.match_on_start(ss.symbol)) continue;
+    if (!analysis.match_on_start(ss.symbol)) continue;
     Trigger(ss.symbol, *started_[ss.symbol], /*allow_bare=*/true, now);
   }
 
-  for (int s = 0; s < pattern_.num_symbols(); ++s) {
+  for (int s = 0; s < program_->pattern.num_symbols(); ++s) {
     stats_.UpdateBufferSize(s, static_cast<double>(joiner_.buffer(s).size()));
   }
 
   // Amortized sweep of the exactly-once guard.
-  if (analysis_.needs_dedup() &&
+  if (analysis.needs_dedup() &&
       emitted_.size() >= emitted_sweep_threshold_) {
-    const TimePoint horizon = now - window_;
+    const TimePoint horizon = now - program_->window;
     for (auto it = emitted_.begin(); it != emitted_.end();) {
       it = it->second < horizon ? emitted_.erase(it) : std::next(it);
     }
@@ -188,24 +189,28 @@ void LowLatencyMatcher::Consume(std::vector<SymbolSituation>& started,
 
 void LowLatencyMatcher::Trigger(int symbol, const Situation& situation,
                                 bool allow_bare, TimePoint now) {
-  if (triggers_ctr_ != nullptr) triggers_ctr_->Inc();
+  MatcherProgram& p = *program_;
+  if (p.triggers_ctr != nullptr) p.triggers_ctr->Inc();
+  const TemporalPattern& pattern = p.pattern;
+  std::vector<int>& pool = p.pool;
+  std::vector<const Situation*>& working_set = p.working_set;
   // Candidate pool: started situations that can coexist with the trigger
   // situation in a certain configuration. A related started situation
   // whose constraint with the trigger is not yet certain cannot
   // contribute now (its configurations will be concluded by a later
   // trigger), and impossible ones never will.
-  pool_.clear();
-  for (int j = 0; j < pattern_.num_symbols(); ++j) {
+  pool.clear();
+  for (int j = 0; j < pattern.num_symbols(); ++j) {
     if (j == symbol || !started_[j].has_value()) continue;
-    if (started_[j]->ts < now - window_) continue;  // window purge
-    const int ci = pattern_.ConstraintIndex(symbol, j);
+    if (started_[j]->ts < now - p.window) continue;  // window purge
+    const int ci = pattern.ConstraintIndex(symbol, j);
     if (ci >= 0) {
-      const TemporalConstraint& c = pattern_.constraints()[ci];
+      const TemporalConstraint& c = pattern.constraints()[ci];
       const Situation& sa = (c.a == symbol) ? situation : *started_[j];
       const Situation& sb = (c.a == symbol) ? *started_[j] : situation;
       if (c.Check(sa, sb) != Certainty::kCertain) continue;
     }
-    pool_.push_back(j);
+    pool.push_back(j);
   }
 
   // Trigger-pool cap: the subset enumeration below is 2^pool, so a flood
@@ -214,30 +219,30 @@ void LowLatencyMatcher::Trigger(int symbol, const Situation& situation,
   // timestamp — closest to expiry, least likely to complete), keep the
   // newest, then restore ascending symbol order so the enumeration
   // sequence for surviving candidates is unperturbed.
-  if (max_trigger_pool_ > 0 && pool_.size() > max_trigger_pool_) {
+  if (p.max_trigger_pool > 0 && pool.size() > p.max_trigger_pool) {
     const int64_t excess =
-        static_cast<int64_t>(pool_.size() - max_trigger_pool_);
-    std::sort(pool_.begin(), pool_.end(), [this](int a, int b) {
+        static_cast<int64_t>(pool.size() - p.max_trigger_pool);
+    std::sort(pool.begin(), pool.end(), [this](int a, int b) {
       return started_[a]->ts > started_[b]->ts;
     });
-    pool_.resize(max_trigger_pool_);
-    std::sort(pool_.begin(), pool_.end());
+    pool.resize(p.max_trigger_pool);
+    std::sort(pool.begin(), pool.end());
     shed_trigger_candidates_ += excess;
-    if (shed_trigger_ctr_ != nullptr) shed_trigger_ctr_->Inc(excess);
+    if (p.shed_trigger_ctr != nullptr) p.shed_trigger_ctr->Inc(excess);
   }
 
-  const size_t subsets = size_t{1} << pool_.size();
+  const size_t subsets = size_t{1} << pool.size();
   for (size_t mask = 0; mask < subsets; ++mask) {
     if (mask == 0 && !allow_bare) continue;
-    working_set_.assign(working_set_.size(), nullptr);
-    working_set_[symbol] = &situation;
-    for (size_t i = 0; i < pool_.size(); ++i) {
+    working_set.assign(working_set.size(), nullptr);
+    working_set[symbol] = &situation;
+    for (size_t i = 0; i < pool.size(); ++i) {
       if (mask & (size_t{1} << i)) {
-        working_set_[pool_[i]] = &*started_[pool_[i]];
+        working_set[pool[i]] = &*started_[pool[i]];
       }
     }
     joiner_.Enumerate(
-        working_set_, now, [this](const Match& m) { Emit(m); }, &stats_);
+        working_set, now, [this](const Match& m) { Emit(m); }, &stats_);
   }
 }
 
@@ -245,7 +250,7 @@ void LowLatencyMatcher::Emit(const Match& match) {
   // When the detection analysis proves exactly-once delivery, skip the
   // fingerprint table entirely — it dominates per-match cost on
   // match-heavy patterns.
-  if (analysis_.needs_dedup()) {
+  if (program_->analysis.needs_dedup()) {
     TimePoint min_ts = kTimeMax;
     for (const Situation& s : match.config) {
       if (s.ts < min_ts) min_ts = s.ts;
@@ -253,7 +258,9 @@ void LowLatencyMatcher::Emit(const Match& match) {
     const uint64_t fp = Fingerprint(match.config);
     auto [it, inserted] = emitted_.emplace(fp, min_ts);
     if (!inserted) {
-      if (dedup_hits_ctr_ != nullptr) dedup_hits_ctr_->Inc();
+      if (program_->dedup_hits_ctr != nullptr) {
+        program_->dedup_hits_ctr->Inc();
+      }
       return;
     }
   }

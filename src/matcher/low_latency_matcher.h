@@ -1,6 +1,7 @@
 #ifndef TPSTREAM_MATCHER_LOW_LATENCY_MATCHER_H_
 #define TPSTREAM_MATCHER_LOW_LATENCY_MATCHER_H_
 
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "common/status.h"
 #include "matcher/joiner.h"
 #include "matcher/match.h"
+#include "matcher/matcher_program.h"
 #include "robust/overload_policy.h"
 
 namespace tpstream {
@@ -35,17 +37,26 @@ namespace tpstream {
 ///    paper's case analysis;
 ///  - the window condition for configurations containing ongoing
 ///    situations is evaluated against the current time.
+///
+/// The pattern, its analysis, caps, metric handles and scratch live in a
+/// MatcherProgram that the matchers of one query share (one matcher per
+/// PARTITION BY key); the matcher itself holds only stream state.
 class LowLatencyMatcher {
  public:
+  /// A matcher with a private program.
   LowLatencyMatcher(TemporalPattern pattern, DetectionAnalysis analysis,
                     Duration window, MatchCallback callback,
                     double stats_alpha = 0.01);
+  /// A matcher over a shared program (built with the pattern's
+  /// DetectionAnalysis).
+  LowLatencyMatcher(std::shared_ptr<MatcherProgram> program,
+                    MatchCallback callback);
 
   void SetEvaluationOrder(const std::vector<int>& permutation);
   std::vector<int> CurrentOrder() const { return joiner_.order().Permutation(); }
 
   /// Starts recording the `matcher.*` counters into `registry`: the
-  /// shared join-core counters (see PatternJoiner::EnableMetrics) plus
+  /// shared join-core counters (see MatcherProgram::EnableMetrics) plus
   /// the low-latency trigger and dedup-suppression counts.
   void EnableMetrics(obs::MetricsRegistry* registry);
 
@@ -61,7 +72,7 @@ class LowLatencyMatcher {
   void Consume(std::vector<SymbolSituation>& started,
                std::vector<SymbolSituation>& finished, TimePoint now);
 
-  const TemporalPattern& pattern() const { return pattern_; }
+  const TemporalPattern& pattern() const { return program_->pattern; }
   const MatcherStats& stats() const { return stats_; }
   size_t BufferedCount() const { return joiner_.BufferedCount(); }
 
@@ -91,7 +102,7 @@ class LowLatencyMatcher {
   /// trigger (oldest started candidates shed first).
   void SetOverload(const robust::OverloadPolicy& policy) {
     joiner_.SetSituationCap(policy.max_situations_per_buffer);
-    max_trigger_pool_ = policy.max_trigger_pool;
+    program_->max_trigger_pool = policy.max_trigger_pool;
   }
   int64_t shed_situations() const { return joiner_.shed_situations(); }
   int64_t lost_match_upper_bound() const {
@@ -110,9 +121,7 @@ class LowLatencyMatcher {
 
   void Emit(const Match& match);
 
-  TemporalPattern pattern_;
-  DetectionAnalysis analysis_;
-  Duration window_;
+  std::shared_ptr<MatcherProgram> program_;
   MatchCallback callback_;
   PatternJoiner joiner_;
   MatcherStats stats_;
@@ -121,25 +130,13 @@ class LowLatencyMatcher {
   /// are disjoint). The payload is the aggregate snapshot at announcement.
   std::vector<std::optional<Situation>> started_;
 
-  std::vector<const Situation*> working_set_;
-  std::vector<int> pool_;  // scratch: candidate started symbols per trigger
-  // Reused by Update() to hand Consume() mutable copies of the inputs.
-  std::vector<SymbolSituation> scratch_started_;
-  std::vector<SymbolSituation> scratch_finished_;
-
   /// Exactly-once guard: configuration fingerprint -> min start timestamp
   /// (for purging).
   std::unordered_map<uint64_t, TimePoint> emitted_;
   size_t emitted_sweep_threshold_ = 1024;
 
-  // Overload shedding state (Degradation contract).
-  size_t max_trigger_pool_ = 0;  // 0 = unbounded
+  // Trigger-pool shed accounting (Degradation contract).
   int64_t shed_trigger_candidates_ = 0;
-
-  // Observability handles (null when metrics are disabled).
-  obs::Counter* triggers_ctr_ = nullptr;
-  obs::Counter* dedup_hits_ctr_ = nullptr;
-  obs::Counter* shed_trigger_ctr_ = nullptr;
 };
 
 }  // namespace tpstream

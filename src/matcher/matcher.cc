@@ -4,20 +4,24 @@ namespace tpstream {
 
 Matcher::Matcher(TemporalPattern pattern, Duration window,
                  MatchCallback callback, double stats_alpha)
-    : pattern_(std::move(pattern)),
-      window_(window),
+    : Matcher(std::make_shared<MatcherProgram>(std::move(pattern), window,
+                                               stats_alpha),
+              std::move(callback)) {}
+
+Matcher::Matcher(std::shared_ptr<MatcherProgram> program,
+                 MatchCallback callback)
+    : program_(std::move(program)),
       callback_(std::move(callback)),
-      joiner_(&pattern_, window),
-      stats_(pattern_, stats_alpha),
-      working_set_(pattern_.num_symbols(), nullptr) {}
+      joiner_(program_.get()),
+      stats_(program_->initial_stats) {}
 
 void Matcher::SetEvaluationOrder(const std::vector<int>& permutation) {
-  joiner_.SetOrder(EvaluationOrder::Build(pattern_, permutation));
+  joiner_.SetOrder(permutation);
 }
 
 void Matcher::Reset() {
   joiner_.Reset();
-  stats_ = MatcherStats(pattern_, stats_.alpha());
+  stats_ = program_->initial_stats;
 }
 
 void Matcher::Checkpoint(ckpt::Writer& w) const {
@@ -38,12 +42,13 @@ Status Matcher::Restore(ckpt::Reader& r) {
 
 void Matcher::Update(const std::vector<SymbolSituation>& finished,
                      TimePoint now) {
-  scratch_finished_.assign(finished.begin(), finished.end());
-  Consume(scratch_finished_, now);
+  program_->scratch_finished.assign(finished.begin(), finished.end());
+  Consume(program_->scratch_finished, now);
 }
 
 void Matcher::Consume(std::vector<SymbolSituation>& finished, TimePoint now) {
-  joiner_.PurgeBefore(now - window_);
+  joiner_.PurgeBefore(now - program_->window);
+  std::vector<const Situation*>& working_set = program_->working_set;
 
   for (SymbolSituation& ss : finished) {
     SituationBuffer& buf = joiner_.buffer(ss.symbol);
@@ -53,12 +58,12 @@ void Matcher::Consume(std::vector<SymbolSituation>& finished, TimePoint now) {
     joiner_.EnforceCap(ss.symbol);
     // Force the new situation into every produced configuration: this
     // yields incremental, exactly-once results (Algorithm 2).
-    working_set_.assign(working_set_.size(), nullptr);
-    working_set_[ss.symbol] = &buf.Back();
-    joiner_.Enumerate(working_set_, now, callback_, &stats_);
+    working_set.assign(working_set.size(), nullptr);
+    working_set[ss.symbol] = &buf.Back();
+    joiner_.Enumerate(working_set, now, callback_, &stats_);
   }
 
-  for (int s = 0; s < pattern_.num_symbols(); ++s) {
+  for (int s = 0; s < program_->pattern.num_symbols(); ++s) {
     stats_.UpdateBufferSize(s, static_cast<double>(joiner_.buffer(s).size()));
   }
 }

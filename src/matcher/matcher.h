@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "matcher/joiner.h"
 #include "matcher/match.h"
+#include "matcher/matcher_program.h"
 #include "robust/overload_policy.h"
 
 namespace tpstream {
@@ -16,10 +17,16 @@ namespace tpstream {
 /// The baseline matcher component (Algorithms 2 and 3): consumes finished
 /// situations ordered by end timestamp and reports every matching temporal
 /// configuration exactly once, at the end timestamp of its last situation.
+///
+/// Like LowLatencyMatcher, the matcher holds only stream state; the query
+/// half lives in a MatcherProgram shared by the matchers of one query.
 class Matcher {
  public:
+  /// A matcher with a private program.
   Matcher(TemporalPattern pattern, Duration window, MatchCallback callback,
           double stats_alpha = 0.01);
+  /// A matcher over a shared program.
+  Matcher(std::shared_ptr<MatcherProgram> program, MatchCallback callback);
 
   /// Installs a new evaluation order. The matcher keeps no intermediate
   /// state between updates, so migration is free (Section 5.4.1).
@@ -31,9 +38,9 @@ class Matcher {
   void SetNaiveScan(bool naive) { joiner_.SetNaiveScan(naive); }
 
   /// Starts recording the `matcher.*` join-core counters into `registry`
-  /// (see PatternJoiner::EnableMetrics).
+  /// (see MatcherProgram::EnableMetrics).
   void EnableMetrics(obs::MetricsRegistry* registry) {
-    joiner_.EnableMetrics(registry);
+    program_->EnableMetrics(registry, /*low_latency=*/false);
   }
 
   /// Processes the batch of situations finished at application time `now`
@@ -47,9 +54,9 @@ class Matcher {
   /// Update(); no allocation occurs in steady state.
   void Consume(std::vector<SymbolSituation>& finished, TimePoint now);
 
-  const TemporalPattern& pattern() const { return pattern_; }
+  const TemporalPattern& pattern() const { return program_->pattern; }
   const MatcherStats& stats() const { return stats_; }
-  Duration window() const { return window_; }
+  Duration window() const { return program_->window; }
 
   /// Number of buffered situations (memory accounting, Section 6.2.2).
   size_t BufferedCount() const { return joiner_.BufferedCount(); }
@@ -77,14 +84,10 @@ class Matcher {
   }
 
  private:
-  TemporalPattern pattern_;
-  Duration window_;
+  std::shared_ptr<MatcherProgram> program_;
   MatchCallback callback_;
   PatternJoiner joiner_;
   MatcherStats stats_;
-  std::vector<const Situation*> working_set_;
-  // Reused by Update() to hand Consume() a mutable copy of the input.
-  std::vector<SymbolSituation> scratch_finished_;
 };
 
 }  // namespace tpstream

@@ -1,6 +1,7 @@
 #ifndef TPSTREAM_MATCHER_SITUATION_BUFFER_H_
 #define TPSTREAM_MATCHER_SITUATION_BUFFER_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <utility>
@@ -23,7 +24,9 @@ namespace tpstream {
 /// contiguous index range, found with binary search (Section 5.2).
 class SituationBuffer {
  public:
-  SituationBuffer() : data_(16) {}
+  /// The ring is allocated by the first Append, so an idle symbol (or
+  /// partition) costs no situation storage.
+  SituationBuffer() = default;
 
   void Append(const Situation& s) {
     assert(size_ == 0 || (s.ts >= Back().te));
@@ -130,7 +133,7 @@ class SituationBuffer {
   void Grow() {
     // Move, don't copy: payload tuples keep their heap buffers, so growth
     // costs one array allocation regardless of situation payload sizes.
-    std::vector<Situation> bigger(data_.size() * 2);
+    std::vector<Situation> bigger(std::max<size_t>(16, data_.size() * 2));
     for (size_t i = 0; i < size_; ++i) {
       bigger[i] = std::move(data_[(head_ + i) % data_.size()]);
     }

@@ -34,8 +34,8 @@ namespace obs {
 /// Metric naming scheme: `<component>.<metric>` with lowercase dotted
 /// segments, e.g. `deriver.situations_finished`,
 /// `matcher.detection_latency`. Re-registering a name returns the same
-/// metric object, so the per-partition operators of a
-/// PartitionedTPStream transparently aggregate into one set of
+/// metric object, so the partitions of a PartitionedTPStream — and any
+/// engines sharing one registry — aggregate into one set of
 /// process-wide counters.
 
 /// Monotonically increasing counter.

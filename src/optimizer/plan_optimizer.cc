@@ -276,8 +276,8 @@ std::vector<std::vector<int>> PlanOptimizer::EnumerateOrders() const {
   return out;
 }
 
-AdaptiveController::AdaptiveController(const TemporalPattern* pattern,
-                                       Options options)
+AdaptiveController::Planner::Planner(const TemporalPattern* pattern,
+                                     Options options)
     : optimizer_(pattern, options.low_latency), options_(options) {
   if (options_.plan_cache != nullptr) {
     plan_key_prefix_ = PatternPlanKey(*pattern, options_.low_latency);
@@ -289,6 +289,21 @@ AdaptiveController::AdaptiveController(const TemporalPattern* pattern,
     selectivity_drift_gauge_ =
         options_.metrics->GetGauge("optimizer.selectivity_drift");
   }
+}
+
+AdaptiveController::AdaptiveController(const TemporalPattern* pattern,
+                                       Options options)
+    : AdaptiveController(std::make_shared<const Planner>(pattern, options)) {}
+
+AdaptiveController::AdaptiveController(std::shared_ptr<const Planner> planner)
+    : planner_(std::move(planner)),
+      check_interval_(planner_->options_.check_interval) {}
+
+AdaptiveController::AdaptiveController(std::shared_ptr<const Planner> planner,
+                                       const AdaptiveController& state)
+    : AdaptiveController(state) {
+  planner_ = std::move(planner);
+  check_interval_ = planner_->options_.check_interval;
 }
 
 void AdaptiveController::Checkpoint(ckpt::Writer& w) const {
@@ -361,36 +376,40 @@ bool AdaptiveController::Drifted(const MatcherStats& stats) const {
         std::max(max_sel_dev, deviation(stats.selectivity_emas()[i],
                                         snapshot_selectivities_[i]));
   }
-  if (buffer_drift_gauge_ != nullptr) buffer_drift_gauge_->Set(max_buffer_dev);
-  if (selectivity_drift_gauge_ != nullptr) {
-    selectivity_drift_gauge_->Set(max_sel_dev);
+  const Planner& p = *planner_;
+  if (p.buffer_drift_gauge_ != nullptr) {
+    p.buffer_drift_gauge_->Set(max_buffer_dev);
   }
-  return max_buffer_dev > options_.threshold ||
-         max_sel_dev > options_.threshold;
+  if (p.selectivity_drift_gauge_ != nullptr) {
+    p.selectivity_drift_gauge_->Set(max_sel_dev);
+  }
+  return max_buffer_dev > p.options_.threshold ||
+         max_sel_dev > p.options_.threshold;
 }
 
 std::optional<std::vector<int>> AdaptiveController::MaybeReoptimize(
     const MatcherStats& stats) {
   ++calls_;
   if (initialized_) {
-    if (calls_ % options_.check_interval != 0) return std::nullopt;
+    if (calls_ % check_interval_ != 0) return std::nullopt;
     if (!Drifted(stats)) return std::nullopt;
   }
+  const Planner& p = *planner_;
   snapshot_buffers_ = stats.buffer_emas();
   snapshot_selectivities_ = stats.selectivity_emas();
   ++reoptimizations_;
-  if (reopt_ctr_ != nullptr) reopt_ctr_->Inc();
+  if (p.reopt_ctr_ != nullptr) p.reopt_ctr_->Inc();
   std::vector<int> order =
-      options_.plan_cache != nullptr
-          ? options_.plan_cache->GetOrCompute(
-                plan_key_prefix_ + StatsPlanKey(stats),
-                [&] { return optimizer_.BestOrder(stats); })
-          : optimizer_.BestOrder(stats);
+      p.options_.plan_cache != nullptr
+          ? p.options_.plan_cache->GetOrCompute(
+                p.plan_key_prefix_ + StatsPlanKey(stats),
+                [&] { return p.optimizer_.BestOrder(stats); })
+          : p.optimizer_.BestOrder(stats);
   if (initialized_ && order == current_order_) return std::nullopt;
   current_order_ = order;
   initialized_ = true;
   ++migrations_;
-  if (switches_ctr_ != nullptr) switches_ctr_->Inc();
+  if (p.switches_ctr_ != nullptr) p.switches_ctr_->Inc();
   return order;
 }
 

@@ -1,10 +1,10 @@
 #ifndef TPSTREAM_OPTIMIZER_PLAN_OPTIMIZER_H_
 #define TPSTREAM_OPTIMIZER_PLAN_OPTIMIZER_H_
 
+#include <memory>
 #include <optional>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "algebra/pattern.h"
 #include "ckpt/serde.h"
@@ -127,7 +127,36 @@ class AdaptiveController {
     SharedPlanCache* plan_cache = nullptr;
   };
 
+  /// The per-query half of the controller: the cost model, the options
+  /// and the metric handles. Immutable once built; the controllers of
+  /// every PARTITION BY key of a query share one.
+  class Planner {
+   public:
+    Planner(const TemporalPattern* pattern, Options options);
+
+   private:
+    friend class AdaptiveController;
+
+    PlanOptimizer optimizer_;
+    Options options_;
+    std::string plan_key_prefix_;  // PatternPlanKey; set iff plan_cache
+
+    // Observability handles (null when metrics are disabled).
+    obs::Counter* reopt_ctr_ = nullptr;
+    obs::Counter* switches_ctr_ = nullptr;
+    obs::Gauge* buffer_drift_gauge_ = nullptr;
+    obs::Gauge* selectivity_drift_gauge_ = nullptr;
+  };
+
+  /// A controller with a private planner.
   AdaptiveController(const TemporalPattern* pattern, Options options);
+  /// A fresh controller over a shared planner.
+  explicit AdaptiveController(std::shared_ptr<const Planner> planner);
+  /// A controller over `planner` continuing from `state`'s adaptive
+  /// state (counts, statistics snapshot, current order) — how a new key
+  /// starts from its query's initial plan without re-running the DP.
+  AdaptiveController(std::shared_ptr<const Planner> planner,
+                     const AdaptiveController& state);
 
   /// Returns a new evaluation order if one should be installed now. The
   /// first call always suggests the initial plan.
@@ -147,9 +176,10 @@ class AdaptiveController {
  private:
   bool Drifted(const MatcherStats& stats) const;
 
-  PlanOptimizer optimizer_;
-  Options options_;
-  std::string plan_key_prefix_;  // PatternPlanKey; set iff plan_cache
+  std::shared_ptr<const Planner> planner_;
+  // The planner's check_interval, kept here so the per-update cadence
+  // check does not touch the (shared, often cold) planner.
+  int check_interval_;
   int64_t calls_ = 0;
   int64_t reoptimizations_ = 0;
   int64_t migrations_ = 0;
@@ -157,12 +187,6 @@ class AdaptiveController {
   std::vector<double> snapshot_buffers_;
   std::vector<double> snapshot_selectivities_;
   std::vector<int> current_order_;
-
-  // Observability handles (null when metrics are disabled).
-  obs::Counter* reopt_ctr_ = nullptr;
-  obs::Counter* switches_ctr_ = nullptr;
-  obs::Gauge* buffer_drift_gauge_ = nullptr;
-  obs::Gauge* selectivity_drift_gauge_ = nullptr;
 };
 
 }  // namespace tpstream

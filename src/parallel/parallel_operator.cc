@@ -139,8 +139,13 @@ ParallelTPStream::ParallelTPStream(QuerySpec spec, Options options,
         AppendCopy(&w->local_matches, e);
       };
     }
+    // The workers share one initial plan: the first to create a key
+    // computes it, the others copy it, so the deployment runs the plan DP
+    // once, like a sequential PartitionedTPStream (and its `optimizer.*`
+    // counters agree).
     worker->engine = std::make_unique<PartitionedTPStream>(
-        spec_, op_options, std::move(sink));
+        spec_, op_options, std::move(sink),
+        workers_.empty() ? nullptr : workers_.front()->engine.get());
     workers_.push_back(std::move(worker));
   }
   for (auto& worker : workers_) {

@@ -183,5 +183,61 @@ TEST(CheckpointChaos, ArbitraryBytesAreRejected) {
   }
 }
 
+
+// The writer emits partition keys strictly ascending. A blob that
+// repeats a key (or breaks the order) did not come from Checkpoint; a
+// legacy unchecksummed one is not caught by the CRC footer, and
+// restoring it would silently keep one of the duplicates' states. Both
+// restore paths must reject it.
+TEST(CheckpointChaos, DuplicateOrUnsortedPartitionKeysAreRejected) {
+  const QuerySpec spec = SensorSpec(/*partitioned=*/true);
+  const std::vector<Event> events = MakeStream(120, 27);
+  TPStreamOperator first(spec, {}, nullptr);
+  TPStreamOperator second(spec, {}, nullptr);
+  for (size_t i = 0; i < events.size(); ++i) {
+    (i % 2 == 0 ? first : second).Push(events[i]);
+  }
+  // Hand-assembled partitioned blobs: `keys` become int partitions when
+  // `ints`, string partitions otherwise, alternating the two states.
+  auto blob = [&](ckpt::Tag tag, bool ints, std::vector<int> keys) {
+    ckpt::Writer w;
+    w.Envelope(events.size());
+    const size_t cookie = w.BeginSection(tag);
+    w.I64(0);
+    w.U64(ints ? keys.size() : 0);
+    for (size_t i = 0; ints && i < keys.size(); ++i) {
+      w.I64(keys[i]);
+      (i % 2 == 0 ? first : second).Checkpoint(w);
+    }
+    w.U64(ints ? 0 : keys.size());
+    for (size_t i = 0; !ints && i < keys.size(); ++i) {
+      w.Str(std::to_string(1000 + keys[i]));
+      (i % 2 == 0 ? first : second).Checkpoint(w);
+    }
+    w.EndSection(cookie);
+    return w.Take();
+  };
+  for (bool ints : {true, false}) {
+    for (bool delta : {false, true}) {
+      SCOPED_TRACE(std::string(ints ? "int" : "string") +
+                   (delta ? " delta" : " full"));
+      const ckpt::Tag tag =
+          delta ? ckpt::Tag::kPartitionedDelta : ckpt::Tag::kPartitioned;
+      auto restore = [&](const std::string& bytes) {
+        PartitionedTPStream target(spec, {}, nullptr);
+        ckpt::Reader r(bytes);
+        return delta ? target.RestoreIncremental(r) : target.Restore(r);
+      };
+      EXPECT_TRUE(restore(blob(tag, ints, {3, 7})).ok());
+      for (const std::vector<int>& bad :
+           {std::vector<int>{7, 7}, std::vector<int>{7, 3}}) {
+        const Status status = restore(blob(tag, ints, bad));
+        EXPECT_EQ(status.code(), StatusCode::kParseError)
+            << bad[0] << "," << bad[1] << ": " << status.ToString();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tpstream

@@ -4,6 +4,11 @@
 // every non-int key), and it is deterministic, so a given key always
 // lands on the same worker. A differential run with a double partition
 // key checks end-to-end routing against the sequential reference.
+//
+// The same counting allocator pins PartitionedTPStream's own routing:
+// pushing to an existing key allocates nothing, and a new key costs its
+// stream state only (the query program and its initial plan are built
+// once per engine).
 
 #include "common/value.h"
 
@@ -20,16 +25,21 @@
 #include <gtest/gtest.h>
 
 #include "core/partitioned_operator.h"
+#include "obs/metrics.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"
+#include "query/parser.h"
 
 // Counting global allocator: every operator new in this binary bumps the
-// counter, so a test can assert a region of code performs none.
+// counters, so a test can assert a region of code performs none, or
+// measure the bytes it requests.
 namespace {
 std::atomic<size_t> g_allocation_count{0};
+std::atomic<size_t> g_allocated_bytes{0};
 
 void* CountedAlloc(std::size_t size) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -139,6 +149,110 @@ TEST(ValueHashTest, DoubleKeyedPartitioningIsStableAndMatchesSequential) {
   }
   EXPECT_EQ(runs[0], sequential);
   EXPECT_EQ(runs[1], sequential);
+}
+
+
+// Predicates that stay false on the pushed events: no situation opens,
+// so after routing, derive and match do no work that could allocate.
+QuerySpec QuietSpec(ValueType key_type) {
+  const Schema schema(
+      {Field{"key", key_type}, Field{"x", ValueType::kDouble}});
+  auto spec = query::ParseQuery(
+      "FROM S s PARTITION BY s.key DEFINE A AS s.x > 10, B AS s.x < -10 "
+      "PATTERN A before B WITHIN 50 RETURN count(A) AS n",
+      schema);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return spec.value();
+}
+
+TEST(PartitionRoutingTest, PushToExistingKeysIsAllocationFree) {
+  for (ValueType type : {ValueType::kInt, ValueType::kString}) {
+    SCOPED_TRACE(type == ValueType::kInt ? "int keys" : "string keys");
+    constexpr int kKeys = 32;
+    constexpr int kRounds = 100;
+    std::vector<Event> events;
+    for (int round = 0; round < kRounds + 2; ++round) {
+      for (int k = 0; k < kKeys; ++k) {
+        Value key = type == ValueType::kInt
+                        ? Value(static_cast<int64_t>(k * 1000003))
+                        : Value(std::to_string(k) + std::string(62, 'h'));
+        events.push_back(Event({std::move(key), Value(0.0)}, round + 1));
+      }
+    }
+    PartitionedTPStream op(QuietSpec(type), {}, nullptr);
+    // Two warm-up rounds create every key and size the routing state.
+    const size_t warm = 2 * kKeys;
+    for (size_t i = 0; i < warm; ++i) op.Push(events[i]);
+    ASSERT_EQ(op.num_partitions(), static_cast<size_t>(kKeys));
+
+    const size_t before = g_allocation_count.load(std::memory_order_relaxed);
+    for (size_t i = warm; i < events.size(); ++i) op.Push(events[i]);
+    const size_t after = g_allocation_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << "routing to existing keys allocated";
+    EXPECT_EQ(op.num_events(), static_cast<int64_t>(events.size()));
+  }
+}
+
+// A 5-definition query shaped like the host telemetry rules: every key
+// carries five derive slots (four with aggregates) and a 5-symbol
+// low-latency matcher with an adaptive controller.
+QuerySpec FiveRuleSpec() {
+  const Schema schema({Field{"host", ValueType::kInt},
+                       Field{"cpu", ValueType::kDouble},
+                       Field{"mem", ValueType::kDouble},
+                       Field{"temp", ValueType::kDouble},
+                       Field{"lat", ValueType::kDouble},
+                       Field{"err", ValueType::kInt}});
+  auto spec = query::ParseQuery(
+      "FROM H h PARTITION BY h.host "
+      "DEFINE BUSY AS h.cpu > 60 AND h.mem > 50, HOT AS h.temp > 40, "
+      "SLOW AS h.lat > 30, LOSSY AS h.err > 100, PRESSURE AS h.mem > 88 "
+      "PATTERN BUSY overlaps HOT; BUSY meets HOT; BUSY starts HOT "
+      "AND HOT overlaps SLOW; HOT meets SLOW; HOT before SLOW "
+      "AND SLOW overlaps LOSSY; SLOW meets LOSSY; SLOW before LOSSY "
+      "AND BUSY overlaps PRESSURE; BUSY starts PRESSURE; "
+      "BUSY during PRESSURE "
+      "WITHIN 30 "
+      "RETURN first(BUSY.host) AS host, max(HOT.temp) AS peak, "
+      "avg(SLOW.lat) AS lat, count(LOSSY) AS lossy",
+      schema);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return spec.value();
+}
+
+Event QuietHostEvent(int64_t host, TimePoint t) {
+  return Event({Value(host), Value(10.0), Value(20.0), Value(20.0),
+                Value(1.0), Value(static_cast<int64_t>(0))},
+               t);
+}
+
+// Heap bytes requested per new key when every key was a whole
+// TPStreamOperator (its own QuerySpec copy, DetectionAnalysis, plan DP,
+// scratch and metric handles), measured by this test on that code.
+constexpr size_t kOperatorPerKeyBytes = 11289;
+
+TEST(PartitionRoutingTest, NewKeyCostsStreamStateOnly) {
+  constexpr int kKeys = 1000;
+  std::vector<Event> events;
+  for (int k = 0; k <= kKeys; ++k) events.push_back(QuietHostEvent(k, 1 + k));
+  {
+    PartitionedTPStream op(FiveRuleSpec(), {}, nullptr);
+    op.Push(events[0]);
+    const size_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+    for (int k = 1; k <= kKeys; ++k) op.Push(events[k]);
+    const size_t per_key =
+        (g_allocated_bytes.load(std::memory_order_relaxed) - before) / kKeys;
+    ASSERT_EQ(op.num_partitions(), static_cast<size_t>(kKeys + 1));
+    RecordProperty("bytes_per_new_key", static_cast<int>(per_key));
+    EXPECT_LE(per_key, kOperatorPerKeyBytes / 2) << per_key << " B per key";
+  }
+  // The initial cost-based plan is chosen once per engine, not per key.
+  obs::MetricsRegistry registry;
+  TPStreamOperator::Options options;
+  options.metrics = &registry;
+  PartitionedTPStream op(FiveRuleSpec(), options, nullptr);
+  for (int k = 1; k <= kKeys; ++k) op.Push(events[k]);
+  EXPECT_EQ(registry.GetCounter("optimizer.reoptimizations")->value(), 1);
 }
 
 }  // namespace
