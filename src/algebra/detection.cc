@@ -174,28 +174,39 @@ DetectionAnalysis::DetectionAnalysis(
 
 TimePoint EarliestDetection(const TemporalPattern& pattern,
                             const std::vector<Situation>& config) {
-  // Certainty can only change at endpoints of the involved situations.
-  std::vector<TimePoint> instants;
-  TimePoint max_ts = kTimeMin;
-  for (const Situation& s : config) {
-    instants.push_back(s.ts);
-    instants.push_back(s.te);
-    max_ts = std::max(max_ts, s.ts);
-  }
-  std::sort(instants.begin(), instants.end());
-  instants.erase(std::unique(instants.begin(), instants.end()),
-                 instants.end());
-
-  std::vector<Situation> visible(config.size());
-  for (TimePoint t : instants) {
-    if (t < max_ts) continue;  // every situation must have started
-    for (size_t i = 0; i < config.size(); ++i) {
-      visible[i] = config[i];
-      if (visible[i].te > t) visible[i].te = kTimeUnknown;
+  // Certainty can only change at endpoints of the involved situations,
+  // and every situation must have started: walk the distinct endpoints
+  // from the latest start upwards, in ascending order. The walk picks
+  // each next endpoint by a scan instead of sorting a copy, and the
+  // visible situations carry only their interval, so nothing allocates
+  // (the matcher calls this on every match when metrics are on).
+  if (config.empty()) return kTimeMax;
+  TimePoint t = kTimeMin;
+  for (const Situation& s : config) t = std::max(t, s.ts);
+  auto visible = [&config, &t](int symbol) {
+    Situation v;
+    v.ts = config[symbol].ts;
+    v.te = config[symbol].te > t ? kTimeUnknown : config[symbol].te;
+    return v;
+  };
+  for (;;) {
+    bool certain = true;
+    for (const TemporalConstraint& c : pattern.constraints()) {
+      if (c.Check(visible(c.a), visible(c.b)) != Certainty::kCertain) {
+        certain = false;
+        break;
+      }
     }
-    if (pattern.Check(visible) == Certainty::kCertain) return t;
+    if (certain) return t;
+    // kTimeMax is also where an unfinished situation (te unknown) ends.
+    TimePoint next = kTimeMax;
+    for (const Situation& s : config) {
+      if (s.ts > t) next = std::min(next, s.ts);
+      if (s.te > t) next = std::min(next, s.te);
+    }
+    if (next == kTimeMax) return kTimeMax;
+    t = next;
   }
-  return kTimeMax;
 }
 
 }  // namespace tpstream

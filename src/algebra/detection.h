@@ -73,7 +73,8 @@ class DetectionAnalysis {
 /// and its end is unknown until reached. Returns the last end timestamp if
 /// no earlier instant concludes the match (and kTimeMax if the
 /// configuration does not match at all). Ignores windows and duration
-/// constraints.
+/// constraints. Reads only the situations' intervals and never
+/// allocates.
 TimePoint EarliestDetection(const TemporalPattern& pattern,
                             const std::vector<Situation>& config);
 

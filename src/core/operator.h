@@ -42,9 +42,10 @@ class TPStreamOperator {
     /// Compile DEFINE predicates to register bytecode and evaluate them
     /// columnarly over PushBatch() spans (expr/bytecode.h). Single
     /// events (Push) always use the expression interpreter, which
-    /// remains the semantic oracle. Off by default; outputs are
-    /// identical either way (differentially tested).
-    bool compiled_predicates = false;
+    /// remains the semantic oracle. On by default; false is the
+    /// interpreter-only ablation. Outputs are identical either way
+    /// (differentially tested).
+    bool compiled_predicates = true;
     /// SIMD tier for columnar predicate evaluation ("off", "sse2",
     /// "avx2", "native"); empty defers to TPSTREAM_SIMD, then the
     /// machine default. See DeriveOptions::simd.

@@ -85,20 +85,36 @@ PartitionedTPStream::Partition& PartitionedTPStream::Route(
 void PartitionedTPStream::Push(const Event& event) {
   ++num_events_;
   if (events_ctr_ != nullptr) events_ctr_->Inc();
-  Partition& partition = Route(event);
+  Step(Route(event), event);
+}
+
+void PartitionedTPStream::PushBatch(std::span<Event> events) {
+  PushBatch(std::span<const Event>(events.data(), events.size()));
+}
+
+void PartitionedTPStream::PushBatch(std::span<const Event> events) {
+  if (events.empty()) return;
+  num_events_ += static_cast<int64_t>(events.size());
+  if (events_ctr_ != nullptr) {
+    events_ctr_->Inc(static_cast<int64_t>(events.size()));
+  }
+  // Route the whole batch first (creating new keys, and with the first
+  // one the programs): the hash probes are independent of each other.
+  routes_.clear();
+  for (const Event& event : events) routes_.push_back(&Route(event));
+  // φ is pure per tuple, so one columnar pass over the mixed-key batch
+  // serves every key: each partition's Deriver::Process consumes its row,
+  // walking the shared cursor in batch order.
+  derive_program_->PrepareBatch(events);
+  for (size_t i = 0; i < events.size(); ++i) Step(*routes_[i], events[i]);
+}
+
+void PartitionedTPStream::Step(Partition& partition, const Event& event) {
   // Exactly TPStreamOperator::Push, on this key's state.
   partition.engine.NoteEvents(1);
   Deriver::Update& update = partition.deriver.Process(event);
   if (update.empty()) return;
   partition.engine.Consume(update, event.t);
-}
-
-void PartitionedTPStream::PushBatch(std::span<Event> events) {
-  for (Event& event : events) Push(event);
-}
-
-void PartitionedTPStream::PushBatch(std::span<const Event> events) {
-  for (const Event& event : events) Push(event);
 }
 
 void PartitionedTPStream::Flush() {

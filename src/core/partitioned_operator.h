@@ -39,8 +39,11 @@ class PartitionedTPStream {
   void Push(const Event& event);
   void Push(Event&& event) { Push(static_cast<const Event&>(event)); }
 
-  /// Batched ingestion: routes the events in order, equivalent to one
-  /// Push() per event (differential-tested).
+  /// Batched ingestion, equivalent to one Push() per event
+  /// (differential-tested): routes the whole batch, then evaluates the
+  /// DEFINE predicates once over the mixed-key span (columnarly with
+  /// compiled predicates, see Deriver::PrepareBatch) and feeds each
+  /// event to its key's state in order.
   void PushBatch(std::span<Event> events);
   void PushBatch(std::span<const Event> events);
 
@@ -135,6 +138,8 @@ class PartitionedTPStream {
   Partition& Touch(Map& map, std::vector<typename Map::value_type*>& dirty,
                    const Key& key);
   Partition& Route(const Event& event);
+  /// Derives and matches one routed event on its partition's state.
+  void Step(Partition& partition, const Event& event);
   void BuildPrograms();
 
   void Write(ckpt::Writer& w, ckpt::Tag tag,
@@ -160,6 +165,8 @@ class PartitionedTPStream {
 
   IntMap int_partitions_;
   StringMap string_partitions_;
+  // PushBatch scratch: the partition of each batch event.
+  std::vector<Partition*> routes_;
 
   // Partitions touched since the last MarkCheckpointBaseline() (those
   // with the dirty bit set); the payload of the next incremental

@@ -193,7 +193,7 @@ void Deriver::Program::ForgetBatch() {
 
 bool Deriver::Program::EvalCompiled(int def, const Event& event) const {
   const int p = program_of_def_[def];
-  if (p < 0 || batch_base_ == nullptr) {
+  if (p < 0) {
     return EvalPredicate(*defs_[def].predicate, event.payload);
   }
   return (batch_bits_[static_cast<size_t>(p) * batch_words_ +
@@ -251,14 +251,15 @@ Deriver::Update& Deriver::Process(const Event& event) {
     p.predicate_evals_ctr_->Inc(static_cast<int64_t>(p.defs_.size()));
   }
 
-  const bool compiled = p.options_.compiled_predicates;
-  if (compiled && p.batch_base_ != nullptr &&
+  // batch_base_ is set only by a compiled program (PrepareBatch).
+  if (p.batch_base_ != nullptr &&
       (p.batch_cursor_ >= p.batch_n_ ||
        &event != p.batch_base_ + p.batch_cursor_)) {
     // The caller deviated from the announced batch (or consumed it);
     // drop the precomputed rows and evaluate with the interpreter.
     p.batch_base_ = nullptr;
   }
+  const bool batched = p.batch_base_ != nullptr;
 
   // Sparse fast path: the transposed bitmap hands us this event's
   // satisfied-program mask in one load; expanding through
@@ -268,7 +269,7 @@ Deriver::Update& Deriver::Process(const Event& event) {
   // started/finished emission order); on a quiet event it runs zero
   // iterations. This is where the columnar bitmaps pay off: a
   // definition whose predicate rarely flips costs nothing per event.
-  if (compiled && p.batch_base_ != nullptr && p.sparse_masks_ok_) {
+  if (batched && p.sparse_masks_ok_) {
     uint64_t sat_defs = 0;
     for (uint64_t pm = p.batch_row_mask_[p.batch_cursor_]; pm != 0;
          pm &= pm - 1) {
@@ -285,10 +286,10 @@ Deriver::Update& Deriver::Process(const Event& event) {
 
   for (int i = 0; i < static_cast<int>(p.defs_.size()); ++i) {
     ApplyDef(i, event,
-             compiled ? p.EvalCompiled(i, event)
-                      : EvalPredicate(*p.defs_[i].predicate, event.payload));
+             batched ? p.EvalCompiled(i, event)
+                     : EvalPredicate(*p.defs_[i].predicate, event.payload));
   }
-  if (compiled && p.batch_base_ != nullptr) ++p.batch_cursor_;
+  if (batched) ++p.batch_cursor_;
   return p.update_;
 }
 

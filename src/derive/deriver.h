@@ -25,11 +25,11 @@ struct DeriveOptions {
   /// Process() without an announced batch, or a batch walked out of
   /// order — always use the tree interpreter, which stays the semantic
   /// oracle (the two are differentially fuzzed against each other; see
-  /// docs/architecture.md, "Compiled predicate path"). Off by default.
-  /// Observable behaviour — situations, counters, metrics — is identical
-  /// either way; a predicate that fails to compile silently keeps the
-  /// interpreter.
-  bool compiled_predicates = false;
+  /// docs/architecture.md, "Compiled predicate path"). On by default;
+  /// false is the interpreter-only ablation. Observable behaviour —
+  /// situations, counters, metrics — is identical either way; a
+  /// predicate that fails to compile silently keeps the interpreter.
+  bool compiled_predicates = true;
 
   /// SIMD tier for columnar batch evaluation: "off", "sse2", "avx2" or
   /// "native" (best the machine supports). Empty defers to the
@@ -93,8 +93,9 @@ class Deriver {
   /// scratch vectors are cleared on the next Process() regardless.
   Update& Process(const Event& event);
 
-  /// Announces that the next `events.size()` Process() calls will walk
-  /// exactly the elements of `events` in order (the PushBatch contract).
+  /// Announces that the next `events.size()` Process() calls — on this
+  /// deriver or any other sharing its program — will walk exactly the
+  /// elements of `events` in order (the PushBatch contract).
   /// In compiled mode this pre-evaluates every predicate columnarly over
   /// the whole batch — one pass per distinct program with its code and
   /// the referenced field columns hot in cache — and Process() then
@@ -182,11 +183,17 @@ class Deriver::Program {
   Program(const Program&) = delete;
   Program& operator=(const Program&) = delete;
 
+  /// Deriver::PrepareBatch for every deriver on this program: the batch
+  /// may mix the events of many keys, each key's Process() consuming its
+  /// own row as the derivers walk the span in order.
+  void PrepareBatch(std::span<const Event> events);
+
  private:
   friend class Deriver;
 
   void CompilePredicates();
-  void PrepareBatch(std::span<const Event> events);
+  // Predicate `def` over the prepared batch's current row (the
+  // interpreter when `def` did not compile). Only with a batch prepared.
   bool EvalCompiled(int def, const Event& event) const;
   void ForgetBatch();
 

@@ -81,8 +81,8 @@ class QueryGroup {
     /// keyed by the same structural fingerprint that deduplicates
     /// definitions, so each distinct predicate across ALL registered
     /// queries compiles exactly once (pinned by num_compiled_programs()).
-    /// Off by default.
-    bool compiled_predicates = false;
+    /// On by default; false is the interpreter-only ablation.
+    bool compiled_predicates = true;
     /// SIMD tier for columnar predicate evaluation ("off", "sse2",
     /// "avx2", "native"); empty defers to TPSTREAM_SIMD, then the
     /// machine default. See DeriveOptions::simd.

@@ -173,9 +173,8 @@ ParallelTPStream::~ParallelTPStream() {
 }
 
 void ParallelTPStream::ProcessBatch(Worker* worker, EventBatch* batch) {
-  for (size_t i = 0; i < batch->count; ++i) {
-    worker->engine->Push(batch->events[i]);
-  }
+  worker->engine->PushBatch(
+      std::span<Event>(batch->events.data(), batch->count));
   // Drain the worker-local match buffer in order: the callback fires
   // serialized (output mutex), but contention is per batch, not per
   // match, and a partition's matches keep their engine emission order

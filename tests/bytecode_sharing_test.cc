@@ -70,7 +70,8 @@ TEST(BytecodeSharingTest, DistinctPredicatesNeverShare) {
 
 TEST(BytecodeSharingTest, InterpreterModeCompilesNothing) {
   Deriver deriver({Def("A", Gt(FieldRef(0), Literal(10.0)))},
-                  /*announce_starts=*/true);
+                  /*announce_starts=*/true, /*metrics=*/nullptr,
+                  DeriveOptions{/*compiled_predicates=*/false});
   EXPECT_FALSE(deriver.compiled());
   EXPECT_EQ(deriver.num_compiled_programs(), 0);
   EXPECT_EQ(deriver.program_cache_hits(), 0);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <mutex>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,21 +68,26 @@ bool SameEvent(const Event& x, const Event& y) {
   return true;
 }
 
+bool IsDeriverMetric(const std::string& name) {
+  return name.rfind("deriver.", 0) == 0;
+}
+
 /// Removes the shared-derivation namespace from an independent operator's
-/// snapshot: under sharing those counters live once in the group registry,
-/// not per query.
+/// snapshot: under sharing those counters and gauges live once in the
+/// group registry, not per query.
 obs::MetricsSnapshot StripDeriver(obs::MetricsSnapshot snap) {
-  std::erase_if(snap.counters, [](const auto& kv) {
-    return kv.first.rfind("deriver.", 0) == 0;
-  });
+  std::erase_if(snap.counters,
+                [](const auto& kv) { return IsDeriverMetric(kv.first); });
+  std::erase_if(snap.gauges,
+                [](const auto& kv) { return IsDeriverMetric(kv.first); });
   return snap;
 }
 
 obs::MetricsSnapshot DeriverOnly(obs::MetricsSnapshot snap) {
-  std::erase_if(snap.counters, [](const auto& kv) {
-    return kv.first.rfind("deriver.", 0) != 0;
-  });
-  snap.gauges.clear();
+  std::erase_if(snap.counters,
+                [](const auto& kv) { return !IsDeriverMetric(kv.first); });
+  std::erase_if(snap.gauges,
+                [](const auto& kv) { return !IsDeriverMetric(kv.first); });
   snap.histograms.clear();
   return snap;
 }
@@ -168,8 +174,12 @@ void RunDifferential(const DifferentialCase& c) {
       c.thresholds.begin(), c.thresholds.end(),
       [&](double t) { return t == c.thresholds.front(); });
   if (all_identical) {
-    EXPECT_EQ(DeriverOnly(group_metrics.Snapshot()).counters,
-              DeriverOnly(ref_metrics[0]->Snapshot()).counters);
+    const obs::MetricsSnapshot group_deriver =
+        DeriverOnly(group_metrics.Snapshot());
+    const obs::MetricsSnapshot ref_deriver =
+        DeriverOnly(ref_metrics[0]->Snapshot());
+    EXPECT_EQ(group_deriver.counters, ref_deriver.counters);
+    EXPECT_EQ(group_deriver.gauges, ref_deriver.gauges);
   }
 }
 

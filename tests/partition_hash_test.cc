@@ -8,7 +8,9 @@
 // The same counting allocator pins PartitionedTPStream's own routing:
 // pushing to an existing key allocates nothing, and a new key costs its
 // stream state only (the query program and its initial plan are built
-// once per engine).
+// once per engine), over Push and over PushBatch with compiled predicates.
+// It also pins the alert path: with metrics on, recording each match's
+// detection latency adds no allocation.
 
 #include "common/value.h"
 
@@ -24,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/detection.h"
 #include "core/partitioned_operator.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_operator.h"
@@ -179,17 +182,31 @@ TEST(PartitionRoutingTest, PushToExistingKeysIsAllocationFree) {
         events.push_back(Event({std::move(key), Value(0.0)}, round + 1));
       }
     }
-    PartitionedTPStream op(QuietSpec(type), {}, nullptr);
-    // Two warm-up rounds create every key and size the routing state.
-    const size_t warm = 2 * kKeys;
-    for (size_t i = 0; i < warm; ++i) op.Push(events[i]);
-    ASSERT_EQ(op.num_partitions(), static_cast<size_t>(kKeys));
+    for (bool batched : {false, true}) {
+      SCOPED_TRACE(batched ? "PushBatch" : "Push");
+      TPStreamOperator::Options options;
+      ASSERT_TRUE(options.compiled_predicates);
+      PartitionedTPStream op(QuietSpec(type), options, nullptr);
+      // Every batch mixes all keys, two rounds of them. The first one
+      // creates the keys and sizes the routing scratch and the columnar
+      // batch.
+      const size_t batch = 2 * kKeys;
+      auto push = [&](size_t begin) {
+        if (batched) {
+          op.PushBatch(std::span<const Event>(events.data() + begin, batch));
+        } else {
+          for (size_t i = begin; i < begin + batch; ++i) op.Push(events[i]);
+        }
+      };
+      push(0);
+      ASSERT_EQ(op.num_partitions(), static_cast<size_t>(kKeys));
 
-    const size_t before = g_allocation_count.load(std::memory_order_relaxed);
-    for (size_t i = warm; i < events.size(); ++i) op.Push(events[i]);
-    const size_t after = g_allocation_count.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u) << "routing to existing keys allocated";
-    EXPECT_EQ(op.num_events(), static_cast<int64_t>(events.size()));
+      const size_t before = g_allocation_count.load(std::memory_order_relaxed);
+      for (size_t i = batch; i < events.size(); i += batch) push(i);
+      const size_t after = g_allocation_count.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0u) << "routing to existing keys allocated";
+      EXPECT_EQ(op.num_events(), static_cast<int64_t>(events.size()));
+    }
   }
 }
 
@@ -253,6 +270,73 @@ TEST(PartitionRoutingTest, NewKeyCostsStreamStateOnly) {
   PartitionedTPStream op(FiveRuleSpec(), options, nullptr);
   for (int k = 1; k <= kKeys; ++k) op.Push(events[k]);
   EXPECT_EQ(registry.GetCounter("optimizer.reoptimizations")->value(), 1);
+}
+
+// With metrics on, every match also records its detection latency, which
+// needs the analytic t_d of the match's configuration. That costs no
+// allocation: payload-carrying configurations are read in place.
+TEST(AlertPathTest, EarliestDetectionIsAllocationFree) {
+  TemporalPattern pattern({"A", "B", "C"});
+  ASSERT_TRUE(pattern.AddRelation(0, Relation::kOverlaps, 1).ok());
+  ASSERT_TRUE(pattern.AddRelation(1, Relation::kBefore, 2).ok());
+  const Tuple payload = {Value(std::string(64, 'p')), Value(1.5)};
+  const std::vector<Situation> config = {Situation(payload, 1, 10),
+                                         Situation(payload, 5, 20),
+                                         Situation(payload, 25, 30)};
+  const size_t before = g_allocation_count.load(std::memory_order_relaxed);
+  const TimePoint td = EarliestDetection(pattern, config);
+  const size_t after = g_allocation_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(td, 25);
+  EXPECT_EQ(after - before, 0u);
+}
+
+// Many alerts per event: 16 keys each flip a flag, and A meets/before B.
+TEST(AlertPathTest, MetricsOnAddsNoAllocationPerAlert) {
+  const Schema schema(
+      {Field{"key", ValueType::kInt}, Field{"flag", ValueType::kBool}});
+  auto spec = query::ParseQuery(
+      "FROM S s PARTITION BY s.key DEFINE A AS s.flag, B AS NOT s.flag "
+      "PATTERN A meets B; A before B WITHIN 64 "
+      "RETURN first(A.key) AS k, count(B) AS n",
+      schema);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  std::vector<Event> events;
+  for (TimePoint t = 1; t <= 2000; ++t) {
+    for (int64_t k = 0; k < 16; ++k) {
+      events.push_back(Event({Value(k), Value((t / (2 + k % 3)) % 2 == 0)}, t));
+    }
+  }
+  struct Run {
+    size_t allocations = 0;
+    int64_t alerts = 0;
+  };
+  auto run = [&](obs::MetricsRegistry* metrics) {
+    TPStreamOperator::Options options;
+    options.metrics = metrics;
+    Run r;
+    PartitionedTPStream op(spec.value(), options,
+                           [&r](const Event&) { ++r.alerts; });
+    const size_t warm = events.size() / 2;
+    for (size_t i = 0; i < warm; ++i) op.Push(events[i]);
+    r.alerts = 0;
+    const size_t before = g_allocation_count.load(std::memory_order_relaxed);
+    for (size_t i = warm; i < events.size(); ++i) op.Push(events[i]);
+    r.allocations = g_allocation_count.load(std::memory_order_relaxed) - before;
+    return r;
+  };
+  const Run off = run(nullptr);
+  obs::MetricsRegistry registry;
+  const Run on = run(&registry);
+  ASSERT_GT(off.alerts, 1000);
+  EXPECT_EQ(on.alerts, off.alerts);
+  EXPECT_GE(registry.GetHistogram("matcher.detection_latency")->count(),
+            on.alerts);
+  EXPECT_EQ(on.allocations, off.allocations)
+      << "metrics on: "
+      << static_cast<double>(on.allocations) / static_cast<double>(on.alerts)
+      << " allocations per alert, off: "
+      << static_cast<double>(off.allocations) /
+             static_cast<double>(off.alerts);
 }
 
 }  // namespace
