@@ -53,8 +53,7 @@ enum class Tag : uint32_t {
   kQueryGroup = 12,
   kReorderBuffer = 13,
   kParallel = 14,
-  kPipeline = 15,
-  kPipelineStage = 16,
+  // 15 and 16 are retired and never reused.
   /// Dirty-partition delta for PartitionedTPStream (incremental
   /// checkpoints; full snapshots keep kPartitioned).
   kPartitionedDelta = 17,

@@ -63,11 +63,6 @@ void TPStreamOperator::Push(const Event& event) {
   engine_->Consume(update, event.t);
 }
 
-void TPStreamOperator::PushBatch(std::span<Event> events) {
-  deriver_.PrepareBatch({events.data(), events.size()});
-  for (Event& event : events) Push(event);
-}
-
 void TPStreamOperator::PushBatch(std::span<const Event> events) {
   deriver_.PrepareBatch(events);
   for (const Event& event : events) Push(event);

@@ -72,20 +72,13 @@ class TPStreamOperator {
   TPStreamOperator(QuerySpec spec, Options options, OutputCallback output);
 
   /// Processes one input event; timestamps must be strictly increasing.
+  /// The operator never retains the event (the deriver folds the payload
+  /// into its aggregate state), so rvalues bind here too.
   void Push(const Event& event);
 
-  /// Rvalue overload. The operator never retains the input event (the
-  /// deriver folds the payload into its aggregate state), so this is
-  /// semantically identical to Push(const Event&); it exists so generic
-  /// ingestion code can forward events without caring about value
-  /// category.
-  void Push(Event&& event) { Push(static_cast<const Event&>(event)); }
-
   /// Batched ingestion: processes the events in order, equivalent to one
-  /// Push() per event (differential-tested). The mutable-span overload
-  /// matches the batch handoff contract used by ParallelTPStream and
-  /// lets the caller reuse the batch storage afterwards.
-  void PushBatch(std::span<Event> events);
+  /// Push() per event (differential-tested). A std::span<Event> converts
+  /// implicitly; the caller keeps the batch storage.
   void PushBatch(std::span<const Event> events);
 
   /// Synchronization point (lifecycle contract): brings all observable

@@ -88,10 +88,6 @@ void PartitionedTPStream::Push(const Event& event) {
   Step(Route(event), event);
 }
 
-void PartitionedTPStream::PushBatch(std::span<Event> events) {
-  PushBatch(std::span<const Event>(events.data(), events.size()));
-}
-
 void PartitionedTPStream::PushBatch(std::span<const Event> events) {
   if (events.empty()) return;
   num_events_ += static_cast<int64_t>(events.size());

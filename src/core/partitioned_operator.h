@@ -37,14 +37,12 @@ class PartitionedTPStream {
   PartitionedTPStream& operator=(const PartitionedTPStream&) = delete;
 
   void Push(const Event& event);
-  void Push(Event&& event) { Push(static_cast<const Event&>(event)); }
 
   /// Batched ingestion, equivalent to one Push() per event
   /// (differential-tested): routes the whole batch, then evaluates the
   /// DEFINE predicates once over the mixed-key span (columnarly with
   /// compiled predicates, see Deriver::PrepareBatch) and feeds each
   /// event to its key's state in order.
-  void PushBatch(std::span<Event> events);
   void PushBatch(std::span<const Event> events);
 
   /// Synchronization point (lifecycle contract): flushes every partition

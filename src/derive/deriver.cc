@@ -298,6 +298,7 @@ void Deriver::Reset() {
     slot.active = false;
     slot.announced = false;
     slot.ts = 0;
+    slot.aggs.Reset();
   }
   program_->ForgetBatch();
   active_mask_ = 0;

@@ -124,9 +124,10 @@ class Deriver {
   std::vector<DurationConstraint> durations() const;
 
   /// Returns the deriver to its freshly-constructed stream state: every
-  /// open situation slot is closed (without emitting) and any announced
-  /// batch is forgotten. The program — definitions, compiled predicates —
-  /// is configuration and survives.
+  /// open situation slot is closed (without emitting) with its running
+  /// aggregates cleared, and any announced batch is forgotten. The
+  /// program — definitions, compiled predicates — is configuration and
+  /// survives.
   void Reset();
 
   /// Serializes the per-definition open-situation slots (active flag,

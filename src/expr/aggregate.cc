@@ -39,9 +39,7 @@ std::optional<AggKind> AggKindFromName(const std::string& name) {
 }
 
 void AggregateState::Init(const Tuple& tuple) {
-  count_ = 0;
-  sum_ = 0.0;
-  value_ = Value::Null();
+  Reset();
   Update(tuple);
 }
 
@@ -104,6 +102,10 @@ void AggregatorSet::Init(const Tuple& tuple) {
 
 void AggregatorSet::Update(const Tuple& tuple) {
   for (AggregateState& state : states_) state.Update(tuple);
+}
+
+void AggregatorSet::Reset() {
+  for (AggregateState& state : states_) state.Reset();
 }
 
 void AggregatorSet::Checkpoint(ckpt::Writer& w) const {

@@ -44,6 +44,13 @@ class AggregateState {
   /// Starts a new situation with its first event's payload.
   void Init(const Tuple& tuple);
 
+  /// Back to the constructed state: no running aggregate.
+  void Reset() {
+    count_ = 0;
+    sum_ = 0.0;
+    value_ = Value::Null();
+  }
+
   /// Folds one more event into the running aggregate.
   void Update(const Tuple& tuple);
 
@@ -85,6 +92,7 @@ class AggregatorSet {
 
   void Init(const Tuple& tuple);
   void Update(const Tuple& tuple);
+  void Reset();
 
   /// Snapshot of all aggregate values, in spec order.
   Tuple Snapshot() const;

@@ -5,6 +5,7 @@
 #include <concepts>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +21,30 @@
 
 namespace tpstream {
 namespace log {
+
+/// What Recover needs of an engine: Reset, Restore a blob, Push the log
+/// tail. Every Engine models it, and so does a thin wrapper forwarding
+/// only these three (a timing probe, say).
+template <typename E>
+concept Recoverable =
+    requires(E& e, const Event& event, ckpt::Reader& r, uint64_t* offset) {
+      e.Push(event);
+      e.Reset();
+      { e.Restore(r, offset) } -> std::same_as<Status>;
+    };
+
+/// The one engine contract (docs/architecture.md, "Engine contract") of
+/// TPStreamOperator, PartitionedTPStream, parallel::ParallelTPStream and
+/// multi::QueryGroup: per-event and batched ingestion, an idempotent
+/// Flush, Reset to a fresh stream, and a checkpoint stamped with the
+/// event-log offset that Restore brings back.
+template <typename E>
+concept Engine = Recoverable<E> &&
+    requires(E& e, std::span<const Event> batch, ckpt::Writer& w) {
+      e.PushBatch(batch);
+      e.Flush();
+      e.Checkpoint(w);
+    };
 
 /// Result of one RecoveryManager::Checkpoint call.
 struct CheckpointInfo {
@@ -85,10 +110,10 @@ struct RecoveryReport {
 /// Str(blob) | checksum footer (ckpt::Writer::SealChecksum). The blob is
 /// the engine's own Checkpoint()/CheckpointIncremental() bytes.
 ///
-/// Engines are duck-typed at compile time: Restore/Checkpoint are
-/// required; CheckpointIncremental / RestoreIncremental /
-/// CanCheckpointIncremental / MarkCheckpointBaseline, SetReplayMode and
-/// Reset are used when present. Single-threaded, like the surfaces it
+/// Checkpoint takes an Engine and Recover a Recoverable one; the
+/// incremental surface (CheckpointIncremental / RestoreIncremental /
+/// CanCheckpointIncremental / MarkCheckpointBaseline) and SetReplayMode
+/// are used when present. Single-threaded, like the surfaces it
 /// checkpoints.
 class RecoveryManager {
  public:
@@ -114,13 +139,13 @@ class RecoveryManager {
   /// allows, a dirty-set delta. On failure (e.g. kResourceExhausted on a
   /// full disk) no generation is consumed, the partially written temp
   /// file is removed, and the next call falls back to a full snapshot.
-  template <typename Engine>
-  Result<CheckpointInfo> Checkpoint(Engine& engine);
+  template <Engine E>
+  Result<CheckpointInfo> Checkpoint(E& engine);
 
   /// Restores `engine` to the newest recoverable state and replays the
   /// log tail into it. See the class comment for the procedure.
-  template <typename Engine>
-  Result<RecoveryReport> Recover(Engine& engine);
+  template <Recoverable E>
+  Result<RecoveryReport> Recover(E& engine);
 
   /// Highest generation persisted or discovered (0 when none).
   uint64_t last_generation() const { return last_generation_; }
@@ -198,10 +223,10 @@ class RecoveryManager {
 // ---------------------------------------------------------------------------
 // Template implementations
 
-template <typename Engine>
-Result<CheckpointInfo> RecoveryManager::Checkpoint(Engine& engine) {
+template <Engine E>
+Result<CheckpointInfo> RecoveryManager::Checkpoint(E& engine) {
   constexpr bool kIncremental =
-      requires(Engine& e, ckpt::Writer& w) {
+      requires(E& e, ckpt::Writer& w) {
         e.CheckpointIncremental(w);
         { e.CanCheckpointIncremental() } -> std::convertible_to<bool>;
         e.MarkCheckpointBaseline();
@@ -261,14 +286,13 @@ Result<CheckpointInfo> RecoveryManager::Checkpoint(Engine& engine) {
   return info;
 }
 
-template <typename Engine>
-Result<RecoveryReport> RecoveryManager::Recover(Engine& engine) {
+template <Recoverable E>
+Result<RecoveryReport> RecoveryManager::Recover(E& engine) {
   constexpr bool kIncremental =
-      requires(Engine& e, ckpt::Reader& r, uint64_t* off) {
+      requires(E& e, ckpt::Reader& r, uint64_t* off) {
         e.RestoreIncremental(r, off);
       };
-  constexpr bool kReplayMode = requires(Engine& e) { e.SetReplayMode(true); };
-  constexpr bool kReset = requires(Engine& e) { e.Reset(); };
+  constexpr bool kReplayMode = requires(E& e) { e.SetReplayMode(true); };
 
   RecoveryReport report;
   const uint64_t max_generation =
@@ -290,7 +314,7 @@ Result<RecoveryReport> RecoveryManager::Recover(Engine& engine) {
       continue;
     }
     uint64_t offset = 0;
-    if constexpr (kReset) engine.Reset();
+    engine.Reset();
     {
       ckpt::Reader r(full.blob);
       s = engine.Restore(r, &offset);
@@ -298,7 +322,7 @@ Result<RecoveryReport> RecoveryManager::Recover(Engine& engine) {
     if (!s.ok()) {
       Quarantine(it->name, s);
       ++report.corrupt_skipped;
-      if constexpr (kReset) engine.Reset();
+      engine.Reset();
       continue;
     }
 
@@ -319,7 +343,7 @@ Result<RecoveryReport> RecoveryManager::Recover(Engine& engine) {
           // chain.
           Quarantine(EntryFileName(d.generation, true), s);
           ++report.corrupt_skipped;
-          if constexpr (kReset) engine.Reset();
+          engine.Reset();
           ckpt::Reader rf(full.blob);
           s = engine.Restore(rf, &offset);
           if (!s.ok()) return s;  // restored moments ago; cannot fail
@@ -359,7 +383,7 @@ Result<RecoveryReport> RecoveryManager::Recover(Engine& engine) {
   if (!report.restored) {
     // Cold start: nothing recoverable, replay the whole log into a
     // fresh engine.
-    if constexpr (kReset) engine.Reset();
+    engine.Reset();
     have_chain_ = false;
     force_full_ = true;
     gens_since_full_ = 0;

@@ -203,12 +203,6 @@ void QueryGroup::Push(const Event& event) {
   fired_defs_.clear();
 }
 
-void QueryGroup::PushBatch(std::span<Event> events) {
-  if (!sealed_) Seal();
-  deriver_->PrepareBatch({events.data(), events.size()});
-  for (Event& event : events) Push(event);
-}
-
 void QueryGroup::PushBatch(std::span<const Event> events) {
   if (!sealed_) Seal();
   deriver_->PrepareBatch(events);
@@ -239,7 +233,8 @@ void QueryGroup::Reset() {
   incremental_valid_ = false;
 }
 
-void QueryGroup::Checkpoint(ckpt::Writer& w) const {
+void QueryGroup::Checkpoint(ckpt::Writer& w) {
+  if (!sealed_) Seal();
   w.Envelope(static_cast<uint64_t>(num_events_));
   const size_t cookie = w.BeginSection(ckpt::Tag::kQueryGroup);
   w.U32(static_cast<uint32_t>(num_queries()));

@@ -52,9 +52,10 @@ namespace multi {
 /// compute alone.
 ///
 /// Lifecycle: AddQuery() during the registration phase, then Push()
-/// events (the first Push seals the group); AddQuery() after sealing is
-/// an error. Flush() is an idempotent synchronization point — counters
-/// become exact — and the stream may continue afterwards.
+/// events (the first Push, Checkpoint or Restore seals the group);
+/// AddQuery() after sealing is an error. Flush() is an idempotent
+/// synchronization point — counters become exact — and the stream may
+/// continue afterwards.
 ///
 /// Single-threaded, like TPStreamOperator; wrap in PartitionedTPStream /
 /// ParallelTPStream-style sharding for parallelism.
@@ -123,8 +124,6 @@ class QueryGroup {
   /// Processes one input event for every registered query; timestamps
   /// must be strictly increasing.
   void Push(const Event& event);
-  void Push(Event&& event) { Push(static_cast<const Event&>(event)); }
-  void PushBatch(std::span<Event> events);
   void PushBatch(std::span<const Event> events);
 
   /// Synchronization point (lifecycle contract): settles the lazily
@@ -141,9 +140,9 @@ class QueryGroup {
 
   /// Serializes the sealed group — the shared deriver plus every query's
   /// engine, in registration order — stamped with the event-log offset
-  /// (= num_events()). Must be sealed (checkpoints are taken between
-  /// Push() calls, and the first Push seals).
-  void Checkpoint(ckpt::Writer& w) const;
+  /// (= num_events()). Taken between Push() calls; seals the group if
+  /// nothing has been pushed yet.
+  void Checkpoint(ckpt::Writer& w);
 
   /// Restores a checkpoint taken on a group with the same queries
   /// registered in the same order (validated by query and distinct-

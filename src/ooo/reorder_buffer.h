@@ -85,7 +85,8 @@ class ReorderBuffer {
   /// bump `num_dropped()`, the metrics and the late callback (so replayed
   /// counters stay byte-identical to the uninterrupted run); only the
   /// sink delivery is suppressed. log::RecoveryManager toggles this
-  /// around ReplayFrom via Pipeline::SetReplayMode.
+  /// around ReplayFrom through the SetReplayMode of the engine that owns
+  /// the buffer.
   void SetReplayMode(bool replaying) { replaying_ = replaying; }
   bool replay_mode() const { return replaying_; }
 

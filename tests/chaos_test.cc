@@ -40,7 +40,6 @@
 #include "obs/metrics.h"
 #include "ooo/reorder_buffer.h"
 #include "parallel/parallel_operator.h"
-#include "pipeline/pipeline.h"
 #include "query/builder.h"
 #include "robust/dead_letter.h"
 #include "tests/fault_injection.h"
@@ -595,33 +594,6 @@ TEST(ChaosTest, LateBurstsRouteToDeadLetterIntact) {
     EXPECT_TRUE(items[i].events[0].payload[0].AsBool());
     EXPECT_FALSE(items[i].detail.empty());
   }
-}
-
-// The pipeline wires its reorder stage's dead-letter sink through the
-// full-options Reorder overload.
-TEST(ChaosTest, PipelineReorderRoutesLateEventsToDeadLetter) {
-  robust::CollectingDeadLetterSink sink(64);
-  ooo::ReorderBuffer::Options reorder_options;
-  reorder_options.slack = 2;
-  reorder_options.dead_letter = &sink;
-
-  Schema schema({Field{"flag", ValueType::kBool}});
-  pipeline::Pipeline p(schema);
-  std::vector<TimePoint> out;
-  p.Reorder(reorder_options).Sink([&](const Event& e) {
-    out.push_back(e.t);
-  });
-  ASSERT_TRUE(p.Finalize().ok());
-
-  for (TimePoint t : {10, 20, 5, 21}) p.Push(Event({Value(true)}, t));
-  p.Finish();
-
-  EXPECT_EQ(out, (std::vector<TimePoint>{10, 20, 21}));
-  const auto items = sink.Items();
-  ASSERT_EQ(items.size(), 1u);
-  EXPECT_EQ(items[0].kind, robust::DeadLetterKind::kLateEvent);
-  ASSERT_EQ(items[0].events.size(), 1u);
-  EXPECT_EQ(items[0].events[0].t, 5);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 // into a fresh instance, replay the input from the recorded offset — the
 // combined match stream, the logical counters/statistics and the final
 // re-checkpoint bytes must all be identical to an uninterrupted run.
-// Exercised across in-order, out-of-order (reorder pipeline) and
+// Exercised across in-order, out-of-order (a reorder buffer in front of
+// the operator, tests/reorder_pipeline.h) and
 // overloaded (eviction under hard caps) workloads, and across the
 // operator, partitioned, query-group and parallel surfaces.
 
@@ -21,8 +22,8 @@
 #include "core/partitioned_operator.h"
 #include "multi/query_group.h"
 #include "parallel/parallel_operator.h"
-#include "pipeline/pipeline.h"
 #include "query/builder.h"
+#include "tests/reorder_pipeline.h"
 
 namespace tpstream {
 namespace {
@@ -167,17 +168,15 @@ TEST(CheckpointDifferential, PipelineOutOfOrder) {
       Disorder(MakeStream(kStreamLen, 15), /*k=*/4);
   const Duration slack = 8;  // covers the max lateness of 3
 
-  const auto build = [&](pipeline::Pipeline& p, std::vector<Event>* sink) {
-    p.Reorder(slack).Detect(SensorSpec()).Sink(
-        [sink](const Event& e) { sink->push_back(e); });
-    ASSERT_TRUE(p.Finalize().ok());
+  const auto build = [&](std::vector<Event>* sink) {
+    return ReorderPipeline(SensorSpec(), {.slack = slack},
+                           [sink](const Event& e) { sink->push_back(e); });
   };
 
   std::vector<Event> ref_outputs;
-  pipeline::Pipeline ref(SensorSchema());
-  build(ref, &ref_outputs);
+  ReorderPipeline ref = build(&ref_outputs);
   for (const Event& e : events) ref.Push(e);
-  ref.Finish();
+  ref.Flush();
   ckpt::Writer ref_final;
   ref.Checkpoint(ref_final);
 
@@ -185,21 +184,19 @@ TEST(CheckpointDifferential, PipelineOutOfOrder) {
     std::vector<Event> outputs;
     ckpt::Writer w;
     {
-      pipeline::Pipeline first(SensorSchema());
-      build(first, &outputs);
+      ReorderPipeline first = build(&outputs);
       for (size_t i = 0; i < kill; ++i) first.Push(events[i]);
-      // No Finish() before the checkpoint: the kill happens with events
-      // still buffered inside the reorder stage.
+      // No Flush() before the checkpoint: the kill happens with events
+      // still held by the reorder buffer.
       first.Checkpoint(w);
     }
-    pipeline::Pipeline second(SensorSchema());
-    build(second, &outputs);
+    ReorderPipeline second = build(&outputs);
     ckpt::Reader r(w.buffer());
     uint64_t offset = 0;
     ASSERT_TRUE(second.Restore(r, &offset).ok()) << r.status().ToString();
     ASSERT_EQ(offset, kill);
     for (size_t i = offset; i < events.size(); ++i) second.Push(events[i]);
-    second.Finish();
+    second.Flush();
 
     ExpectSameOutputs(outputs, ref_outputs);
     ckpt::Writer final_ckpt;

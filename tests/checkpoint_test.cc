@@ -19,7 +19,6 @@
 #include "matcher/stats.h"
 #include "multi/query_group.h"
 #include "ooo/reorder_buffer.h"
-#include "pipeline/pipeline.h"
 #include "query/builder.h"
 
 namespace tpstream {
@@ -393,35 +392,6 @@ TEST(CkptComponents, QueryGroupRestoreValidatesRegisteredQueries) {
   EXPECT_EQ(offset, 10u);
   EXPECT_EQ(same.num_events(), group.num_events());
   EXPECT_EQ(same.num_matches(0), group.num_matches(0));
-}
-
-TEST(CkptComponents, PipelineRestoreValidatesStageChain) {
-  pipeline::Pipeline p(TwoBoolSchema());
-  p.Detect(OverlapSpec());
-  ASSERT_TRUE(p.Finalize().ok());
-  PushEpisode([&](const Event& e) { p.Push(e); }, 0);
-  ckpt::Writer w;
-  p.Checkpoint(w);
-
-  pipeline::Pipeline longer(TwoBoolSchema());
-  longer.Reorder(5).Detect(OverlapSpec());
-  ASSERT_TRUE(longer.Finalize().ok());
-  ckpt::Reader r(w.buffer());
-  EXPECT_FALSE(longer.Restore(r).ok());
-
-  pipeline::Pipeline unfinalized(TwoBoolSchema());
-  unfinalized.Detect(OverlapSpec());
-  ckpt::Reader r2(w.buffer());
-  EXPECT_FALSE(unfinalized.Restore(r2).ok());
-
-  pipeline::Pipeline same(TwoBoolSchema());
-  same.Detect(OverlapSpec());
-  ASSERT_TRUE(same.Finalize().ok());
-  ckpt::Reader r3(w.buffer());
-  uint64_t offset = 0;
-  ASSERT_TRUE(same.Restore(r3, &offset).ok());
-  EXPECT_EQ(offset, 10u);
-  EXPECT_EQ(same.num_pushed(), 10);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,458 @@
+// One conformance suite for the engine contract (log::Engine): every
+// ingestion surface — TPStreamOperator, PartitionedTPStream,
+// parallel::ParallelTPStream and multi::QueryGroup — runs the same typed
+// cases, each described by a small traits struct (make, drain, metrics):
+//
+//  * Flush is an idempotent synchronization point: a no-op on an empty
+//    stream, it publishes gauges and a second Flush changes neither state
+//    nor metrics, and the stream continues after it with the same
+//    matches and state as without it;
+//  * PushBatch (const and mutable spans, several batch sizes) is
+//    equivalent to one Push per event: same matches, same checkpoint;
+//  * Restore into a fresh instance and into an instance mid-way through
+//    a different stream (full overwrite) resumes the reference run;
+//    double restore re-checkpoints byte for byte;
+//  * Reset — after a stream or after a restore — returns the exact state
+//    of a fresh instance (adaptive statistics and evaluation order
+//    included, since both are checkpointed);
+//  * the checkpoint of a fresh instance restores into a fresh instance.
+//
+// Matches are compared as rendered strings ("t|payload..."), in emission
+// order where the surface is sequential and sorted for the parallel one,
+// whose workers interleave.
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "ckpt/serde.h"
+#include "core/operator.h"
+#include "core/partitioned_operator.h"
+#include "log/recovery.h"
+#include "multi/query_group.h"
+#include "obs/metrics.h"
+#include "parallel/parallel_operator.h"
+#include "query/builder.h"
+
+namespace tpstream {
+namespace {
+
+static_assert(log::Engine<TPStreamOperator>);
+static_assert(log::Engine<PartitionedTPStream>);
+static_assert(log::Engine<parallel::ParallelTPStream>);
+static_assert(log::Engine<multi::QueryGroup>);
+
+Schema KeyedSchema() {
+  return Schema({Field{"key", ValueType::kInt}, Field{"a", ValueType::kBool},
+                 Field{"b", ValueType::kBool}});
+}
+
+/// "A overlaps B" with a count aggregate, so checkpoints carry live
+/// aggregate state next to the matcher's.
+QuerySpec OverlapSpec(bool partitioned) {
+  QueryBuilder qb(KeyedSchema());
+  qb.Define("A", FieldRef(1, "a"))
+      .Define("B", FieldRef(2, "b"))
+      .Relate("A", Relation::kOverlaps, "B")
+      .Within(100)
+      .Return("n_a", "A", AggKind::kCount);
+  if (partitioned) qb.PartitionBy("key");
+  auto spec = qb.Build();
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return spec.value();
+}
+
+/// Second query of the group: shares definition A with OverlapSpec.
+QuerySpec BeforeSpec() {
+  QueryBuilder qb(KeyedSchema());
+  qb.Define("A", FieldRef(1, "a"))
+      .Define("C", Not(FieldRef(2, "b")))
+      .Relate("A", Relation::kBefore, "C")
+      .Within(60)
+      .ReturnStart("a_start", "A");
+  auto spec = qb.Build();
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return spec.value();
+}
+
+/// `n` events at t = t0+1 .. t0+n, keys round-robin over `keys`; each
+/// key's a/b flags flip independently with ~10% probability per event.
+std::vector<Event> Stream(int n, int keys, uint64_t seed, TimePoint t0 = 0) {
+  std::vector<Event> events;
+  events.reserve(n);
+  std::vector<bool> a(keys, false), b(keys, false);
+  uint64_t state = seed * 0x9e3779b97f4a7c15ull + 1;
+  const auto flip = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % 100 < 10;
+  };
+  for (int i = 0; i < n; ++i) {
+    const int k = i % keys;
+    if (flip()) a[k] = !a[k];
+    if (flip()) b[k] = !b[k];
+    events.push_back(Event({Value(static_cast<int64_t>(k)), Value(a[k]),
+                            Value(b[k])},
+                           t0 + i + 1));
+  }
+  return events;
+}
+
+/// Thread-safe match collector (the parallel surface calls back from its
+/// workers under its own output mutex; the lock keeps reads race-free).
+class Collector {
+ public:
+  TPStreamOperator::OutputCallback Callback(std::string tag = "") {
+    return [this, tag = std::move(tag)](const Event& e) {
+      std::string line = tag + std::to_string(e.t);
+      for (const Value& v : e.payload) line += "|" + v.ToString();
+      std::lock_guard<std::mutex> lock(mutex_);
+      lines_.push_back(std::move(line));
+    };
+  }
+
+  /// Returns and clears the matches collected so far.
+  std::vector<std::string> Take() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(lines_, {});
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::string> lines_;
+};
+
+// --- one traits struct per surface ------------------------------------------
+
+/// Make wires an optional metrics registry; Metrics reads back what the
+/// engine recorded (ParallelTPStream merges its worker-local registries).
+struct OperatorSurface {
+  using Engine = TPStreamOperator;
+  static constexpr int kKeys = 1;
+  static constexpr bool kOrdered = true;
+  static std::unique_ptr<Engine> Make(Collector* out,
+                                      obs::MetricsRegistry* metrics) {
+    TPStreamOperator::Options options;
+    options.metrics = metrics;
+    return std::make_unique<Engine>(OverlapSpec(false), options,
+                                    out->Callback());
+  }
+  static void Drain(Engine&) {}
+  static obs::MetricsSnapshot Metrics(Engine&, obs::MetricsRegistry& r) {
+    return r.Snapshot();
+  }
+};
+
+struct PartitionedSurface {
+  using Engine = PartitionedTPStream;
+  static constexpr int kKeys = 5;
+  static constexpr bool kOrdered = true;
+  static std::unique_ptr<Engine> Make(Collector* out,
+                                      obs::MetricsRegistry* metrics) {
+    TPStreamOperator::Options options;
+    options.metrics = metrics;
+    return std::make_unique<Engine>(OverlapSpec(true), options,
+                                    out->Callback());
+  }
+  static void Drain(Engine&) {}
+  static obs::MetricsSnapshot Metrics(Engine&, obs::MetricsRegistry& r) {
+    return r.Snapshot();
+  }
+};
+
+struct ParallelSurface {
+  using Engine = parallel::ParallelTPStream;
+  static constexpr int kKeys = 5;
+  static constexpr bool kOrdered = false;
+  static std::unique_ptr<Engine> Make(Collector* out,
+                                      obs::MetricsRegistry* metrics) {
+    Engine::Options options;
+    options.num_workers = 3;
+    options.batch_size = 8;  // many batches per stream
+    options.operator_options.metrics = metrics;
+    return std::make_unique<Engine>(OverlapSpec(true), options,
+                                    out->Callback());
+  }
+  static void Drain(Engine& e) { e.Flush(); }
+  static obs::MetricsSnapshot Metrics(Engine& e, obs::MetricsRegistry&) {
+    return e.Metrics();
+  }
+};
+
+struct QueryGroupSurface {
+  using Engine = multi::QueryGroup;
+  static constexpr int kKeys = 1;
+  static constexpr bool kOrdered = true;
+  static std::unique_ptr<Engine> Make(Collector* out,
+                                      obs::MetricsRegistry* metrics) {
+    Engine::Options options;
+    options.metrics = metrics;
+    Engine::QueryOptions q0;  // the second query stays uninstrumented
+    q0.metrics = metrics;
+    auto group = std::make_unique<Engine>(options);
+    EXPECT_TRUE(
+        group->AddQuery(OverlapSpec(false), out->Callback("q0@"), q0).ok());
+    EXPECT_TRUE(group->AddQuery(BeforeSpec(), out->Callback("q1@")).ok());
+    return group;
+  }
+  static void Drain(Engine&) {}
+  static obs::MetricsSnapshot Metrics(Engine&, obs::MetricsRegistry& r) {
+    return r.Snapshot();
+  }
+};
+
+template <typename Surface>
+class EngineConformance : public ::testing::Test {
+ protected:
+  using Engine = typename Surface::Engine;
+  static constexpr int kEvents = 600;
+
+  void SetUp() override {
+    events_ = Stream(kEvents, Surface::kKeys, /*seed=*/1);
+    auto ref = Make();
+    for (const Event& e : events_) ref->Push(e);
+    Drain(*ref);
+    ref_outputs_ = Outputs();
+    ref_final_ = Snapshot(*ref);
+    ASSERT_FALSE(ref_outputs_.empty()) << "workload produced no matches";
+  }
+
+  std::unique_ptr<Engine> Make(obs::MetricsRegistry* metrics = nullptr) {
+    return Surface::Make(&collector_, metrics);
+  }
+  void Drain(Engine& e) { Surface::Drain(e); }
+
+  /// Matches collected since the last call, sorted unless the surface
+  /// emits in a deterministic order.
+  std::vector<std::string> Outputs() {
+    std::vector<std::string> lines = collector_.Take();
+    if (!Surface::kOrdered) std::sort(lines.begin(), lines.end());
+    return lines;
+  }
+
+  static std::string Snapshot(Engine& e) {
+    ckpt::Writer w;
+    e.Checkpoint(w);
+    return w.Take();
+  }
+
+  static Status RestoreFrom(Engine& e, const std::string& blob,
+                            uint64_t* offset = nullptr) {
+    ckpt::Reader r(blob);
+    return e.Restore(r, offset);
+  }
+
+  void PushRange(Engine& e, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) e.Push(events_[i]);
+  }
+
+  /// Checkpoint taken after the first half of the stream, and the
+  /// matches that half produced.
+  std::string HalfwayBlob(std::vector<std::string>* prefix_outputs) {
+    auto source = Make();
+    PushRange(*source, 0, events_.size() / 2);
+    Drain(*source);
+    *prefix_outputs = Outputs();
+    return Snapshot(*source);
+  }
+
+  /// Prefix + resumed matches, in the same order Outputs() uses.
+  std::vector<std::string> Concat(std::vector<std::string> prefix,
+                                  const std::vector<std::string>& rest) {
+    prefix.insert(prefix.end(), rest.begin(), rest.end());
+    if (!Surface::kOrdered) std::sort(prefix.begin(), prefix.end());
+    return prefix;
+  }
+
+  Collector collector_;
+  std::vector<Event> events_;
+  std::vector<std::string> ref_outputs_;
+  std::string ref_final_;
+};
+
+using Surfaces = ::testing::Types<OperatorSurface, PartitionedSurface,
+                                  ParallelSurface, QueryGroupSurface>;
+TYPED_TEST_SUITE(EngineConformance, Surfaces);
+
+// --- Flush lifecycle --------------------------------------------------------
+
+TYPED_TEST(EngineConformance, FlushOnEmptyStreamIsANoOp) {
+  auto e = this->Make();
+  e->Flush();
+  e->Flush();
+  EXPECT_TRUE(this->Outputs().empty());
+  this->PushRange(*e, 0, this->events_.size());
+  this->Drain(*e);
+  EXPECT_EQ(this->Outputs(), this->ref_outputs_);
+  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+}
+
+TYPED_TEST(EngineConformance, DoubleFlushIsIdempotent) {
+  obs::MetricsRegistry registry;
+  auto e = this->Make(&registry);
+  this->PushRange(*e, 0, this->events_.size());
+  e->Flush();
+  const obs::MetricsSnapshot metrics = TypeParam::Metrics(*e, registry);
+  EXPECT_FALSE(metrics.gauges.empty()) << "Flush published no gauges";
+  const std::string once = this->Snapshot(*e);
+  const std::vector<std::string> outputs = this->Outputs();
+
+  e->Flush();
+  EXPECT_TRUE(this->Outputs().empty());
+  EXPECT_EQ(this->Snapshot(*e), once);
+  EXPECT_EQ(outputs, this->ref_outputs_);
+  const obs::MetricsSnapshot again = TypeParam::Metrics(*e, registry);
+  EXPECT_EQ(again.counters, metrics.counters);
+  EXPECT_EQ(again.gauges, metrics.gauges);
+  EXPECT_EQ(again.histograms, metrics.histograms);
+}
+
+TYPED_TEST(EngineConformance, PushAfterFlushContinuesTheStream) {
+  auto e = this->Make();
+  const size_t half = this->events_.size() / 2;
+  this->PushRange(*e, 0, half);
+  e->Flush();
+  const std::vector<std::string> first = this->Outputs();
+  this->PushRange(*e, half, this->events_.size());
+  this->Drain(*e);
+  EXPECT_EQ(this->Concat(first, this->Outputs()), this->ref_outputs_);
+  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+}
+
+// --- Batched ingestion ------------------------------------------------------
+
+TYPED_TEST(EngineConformance, PushBatchEqualsPerEventPush) {
+  const std::vector<Event>& events = this->events_;
+  for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}, events.size()}) {
+    for (const bool mutable_span : {false, true}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch) +
+                   (mutable_span ? " span<Event>" : " span<const Event>"));
+      auto e = this->Make();
+      std::vector<Event> copy = events;  // a mutable span may be consumed
+      for (size_t i = 0; i < events.size(); i += batch) {
+        const size_t n = std::min(batch, events.size() - i);
+        if (mutable_span) {
+          e->PushBatch(std::span<Event>(copy.data() + i, n));
+        } else {
+          e->PushBatch(std::span<const Event>(events.data() + i, n));
+        }
+      }
+      this->Drain(*e);
+      EXPECT_EQ(this->Outputs(), this->ref_outputs_);
+      EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+    }
+  }
+}
+
+// --- Restore lifecycle ------------------------------------------------------
+
+TYPED_TEST(EngineConformance, RestoreIntoFreshInstanceResumesTheStream) {
+  std::vector<std::string> prefix;
+  const std::string blob = this->HalfwayBlob(&prefix);
+  const size_t half = this->events_.size() / 2;
+
+  auto e = this->Make();
+  uint64_t offset = 0;
+  ASSERT_TRUE(this->RestoreFrom(*e, blob, &offset).ok());
+  EXPECT_EQ(offset, half);
+  this->PushRange(*e, offset, this->events_.size());
+  this->Drain(*e);
+  EXPECT_EQ(this->Concat(prefix, this->Outputs()), this->ref_outputs_);
+  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+}
+
+TYPED_TEST(EngineConformance, RestoreIntoUsedInstanceOverwritesIt) {
+  std::vector<std::string> prefix;
+  const std::string blob = this->HalfwayBlob(&prefix);
+
+  // Mid-way through a different, later stream: its buffers, counters,
+  // partitions and pending triggers must be dropped, not merged.
+  auto e = this->Make();
+  for (const Event& ev :
+       Stream(300, TypeParam::kKeys, /*seed=*/7, /*t0=*/100000)) {
+    e->Push(ev);
+  }
+  this->Drain(*e);
+  this->Outputs();
+  uint64_t offset = 0;
+  ASSERT_TRUE(this->RestoreFrom(*e, blob, &offset).ok());
+  this->PushRange(*e, offset, this->events_.size());
+  this->Drain(*e);
+  EXPECT_EQ(this->Concat(prefix, this->Outputs()), this->ref_outputs_);
+  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+}
+
+TYPED_TEST(EngineConformance, DoubleRestoreReCheckpointsByteIdentically) {
+  std::vector<std::string> prefix;
+  const std::string blob = this->HalfwayBlob(&prefix);
+  auto e = this->Make();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(this->RestoreFrom(*e, blob).ok()) << "restore " << i;
+  }
+  EXPECT_EQ(this->Snapshot(*e), blob);
+}
+
+// --- Reset ------------------------------------------------------------------
+
+TYPED_TEST(EngineConformance, ResetAfterStreamMatchesFreshInstance) {
+  auto fresh = this->Make();
+  const std::string fresh_blob = this->Snapshot(*fresh);
+
+  // A full stream moves the adaptive state (matcher statistics, the
+  // controller's evaluation order) away from the initial plan; Reset must
+  // bring all of it back, which the byte comparison checks.
+  auto e = this->Make();
+  this->PushRange(*e, 0, this->events_.size());
+  this->Drain(*e);
+  this->Outputs();
+  e->Reset();
+  EXPECT_EQ(this->Snapshot(*e), fresh_blob);
+
+  this->PushRange(*e, 0, this->events_.size());
+  this->Drain(*e);
+  EXPECT_EQ(this->Outputs(), this->ref_outputs_);
+  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+}
+
+TYPED_TEST(EngineConformance, RestoreThenResetMatchesFreshInstance) {
+  std::vector<std::string> prefix;
+  const std::string blob = this->HalfwayBlob(&prefix);
+  auto fresh = this->Make();
+  const std::string fresh_blob = this->Snapshot(*fresh);
+
+  auto e = this->Make();
+  ASSERT_TRUE(this->RestoreFrom(*e, blob).ok());
+  e->Reset();
+  EXPECT_EQ(this->Snapshot(*e), fresh_blob);
+
+  // Replaying from the start re-emits every match (the exactly-once
+  // fingerprints were rewound too).
+  this->PushRange(*e, 0, this->events_.size());
+  this->Drain(*e);
+  EXPECT_EQ(this->Outputs(), this->ref_outputs_);
+}
+
+// --- Checkpoint of a fresh instance -----------------------------------------
+
+TYPED_TEST(EngineConformance, FreshCheckpointRestoresIntoFreshInstance) {
+  auto source = this->Make();
+  const std::string blob = this->Snapshot(*source);
+
+  auto e = this->Make();
+  uint64_t offset = 1;
+  ASSERT_TRUE(this->RestoreFrom(*e, blob, &offset).ok());
+  EXPECT_EQ(offset, 0u);
+  this->PushRange(*e, 0, this->events_.size());
+  this->Drain(*e);
+  EXPECT_EQ(this->Outputs(), this->ref_outputs_);
+  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+}
+
+}  // namespace
+}  // namespace tpstream

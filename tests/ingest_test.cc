@@ -1,32 +1,19 @@
-// Ingestion-path contract tests for the batched, move-aware Push API:
-//
-//  1. Steady-state sequential ingestion performs ZERO heap allocations
-//     per event (counting global operator new, in the style of
-//     partition_hash_test.cc) when the static analysis proves
-//     exactly-once delivery and no aggregates/metrics are attached.
-//  2. PushBatch() is differentially equivalent to per-event Push() for
-//     the sequential, partitioned, and parallel (1/2/4 workers)
-//     operators: identical matches and identical event/match counters.
-//  3. The move overloads flow through Pipeline (Reorder + Detect) with
-//     results identical to copying ingestion.
+// Ingestion-path contract: steady-state sequential ingestion performs
+// ZERO heap allocations per event (counting global operator new, in the
+// style of partition_hash_test.cc) when the static analysis proves
+// exactly-once delivery and no aggregates/metrics are attached. PushBatch
+// vs per-event Push equivalence on every surface lives in
+// engine_conformance_test.cc.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <mutex>
 #include <new>
-#include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algebra/detection.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
-#include "parallel/parallel_operator.h"
-#include "pipeline/pipeline.h"
 #include "query/builder.h"
 #include "workload/synthetic.h"
 
@@ -112,169 +99,6 @@ TEST(IngestAllocationTest, SteadyStateSequentialIngestIsAllocationFree) {
     // The measurement window must actually exercise the matcher.
     EXPECT_GT(op.num_matches(), matches_before);
   }
-}
-
-/// Integer-keyed partitioned query with aggregates: the differential
-/// workload (allocation-freedom is not claimed here, equivalence is).
-QuerySpec KeyedSpec() {
-  Schema schema(
-      {Field{"key", ValueType::kInt}, Field{"flag", ValueType::kBool}});
-  QueryBuilder qb(schema);
-  qb.Define("A", FieldRef(1, "flag"))
-      .Define("B", Not(FieldRef(1, "flag")))
-      .Relate("A", {Relation::kMeets, Relation::kBefore}, "B")
-      .Within(120)
-      .Return("key", "A", AggKind::kFirst, "key")
-      .Return("n", "A", AggKind::kCount)
-      .PartitionBy("key");
-  auto spec = qb.Build();
-  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-  return spec.value();
-}
-
-std::vector<Event> KeyedEvents(int num_keys, TimePoint horizon) {
-  std::vector<Event> events;
-  std::vector<bool> value(num_keys, false);
-  uint64_t state = 0x9e3779b97f4a7c15ull;  // deterministic LCG-ish flips
-  for (TimePoint t = 1; t <= horizon; ++t) {
-    for (int k = 0; k < num_keys; ++k) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      if ((state >> 33) % 100 < 9) value[k] = !value[k];
-      events.push_back(
-          Event({Value(static_cast<int64_t>(k)), Value(value[k])}, t));
-    }
-  }
-  return events;
-}
-
-using Signature = std::vector<std::string>;
-
-std::string Describe(const Event& e) {
-  std::string out = std::to_string(e.t);
-  for (const Value& v : e.payload) out += "|" + v.ToString();
-  return out;
-}
-
-TEST(PushBatchDifferentialTest, SequentialOperator) {
-  const QuerySpec spec = KeyedSpec();
-  const std::vector<Event> events = KeyedEvents(1, 800);
-
-  Signature per_event;
-  TPStreamOperator ref(spec, {}, [&](const Event& e) {
-    per_event.push_back(Describe(e));
-  });
-  for (const Event& e : events) ref.Push(e);
-
-  Signature batched;
-  TPStreamOperator op(spec, {}, [&](const Event& e) {
-    batched.push_back(Describe(e));
-  });
-  std::vector<Event> copy = events;
-  for (size_t i = 0; i < copy.size(); i += 7) {
-    op.PushBatch(std::span<Event>(copy.data() + i,
-                                  std::min<size_t>(7, copy.size() - i)));
-  }
-
-  ASSERT_FALSE(per_event.empty());
-  EXPECT_EQ(batched, per_event);
-  EXPECT_EQ(op.num_events(), ref.num_events());
-  EXPECT_EQ(op.num_matches(), ref.num_matches());
-}
-
-TEST(PushBatchDifferentialTest, PartitionedOperator) {
-  const QuerySpec spec = KeyedSpec();
-  const std::vector<Event> events = KeyedEvents(5, 500);
-
-  Signature per_event;
-  PartitionedTPStream ref(spec, {}, [&](const Event& e) {
-    per_event.push_back(Describe(e));
-  });
-  for (const Event& e : events) ref.Push(e);
-
-  Signature batched;
-  PartitionedTPStream op(spec, {}, [&](const Event& e) {
-    batched.push_back(Describe(e));
-  });
-  // Const span: events are not consumed.
-  op.PushBatch(std::span<const Event>(events));
-
-  ASSERT_FALSE(per_event.empty());
-  EXPECT_EQ(batched, per_event);
-  EXPECT_EQ(op.num_events(), ref.num_events());
-  EXPECT_EQ(op.num_matches(), ref.num_matches());
-  EXPECT_EQ(op.num_partitions(), ref.num_partitions());
-}
-
-TEST(PushBatchDifferentialTest, ParallelOperatorAcrossWorkerCounts) {
-  const QuerySpec spec = KeyedSpec();
-  const std::vector<Event> events = KeyedEvents(7, 500);
-
-  Signature reference;
-  {
-    PartitionedTPStream ref(spec, {}, [&](const Event& e) {
-      reference.push_back(Describe(e));
-    });
-    for (const Event& e : events) ref.Push(e);
-  }
-  ASSERT_FALSE(reference.empty());
-  std::sort(reference.begin(), reference.end());
-
-  for (const int workers : {1, 2, 4}) {
-    Signature batched;
-    std::mutex mutex;
-    parallel::ParallelTPStream::Options options;
-    options.num_workers = workers;
-    options.batch_size = 32;
-    parallel::ParallelTPStream op(spec, options, [&](const Event& e) {
-      std::lock_guard<std::mutex> lock(mutex);
-      batched.push_back(Describe(e));
-    });
-    // The mutable-span overload moves the payloads out, so feed a copy.
-    std::vector<Event> copy = events;
-    for (size_t i = 0; i < copy.size(); i += 13) {
-      op.PushBatch(std::span<Event>(
-          copy.data() + i, std::min<size_t>(13, copy.size() - i)));
-    }
-    op.Flush();
-
-    std::sort(batched.begin(), batched.end());
-    EXPECT_EQ(batched, reference) << workers << " workers";
-    EXPECT_EQ(op.num_events(), static_cast<int64_t>(events.size()))
-        << workers << " workers";
-    EXPECT_EQ(op.num_matches(), static_cast<int64_t>(reference.size()))
-        << workers << " workers";
-  }
-}
-
-TEST(PushBatchDifferentialTest, PipelineWithReorderAndDetect) {
-  const QuerySpec spec = KeyedSpec();
-  std::vector<Event> events = KeyedEvents(3, 400);
-  // Mild bounded disorder to exercise the reorder stage's move path.
-  for (size_t i = 0; i + 4 < events.size(); i += 5) {
-    std::swap(events[i], events[i + 2]);
-  }
-
-  auto run = [&](bool batched) {
-    Signature out;
-    pipeline::Pipeline p(spec.input_schema);
-    p.Reorder(/*slack=*/10)
-        .Detect(spec)
-        .Sink([&](const Event& e) { out.push_back(Describe(e)); });
-    EXPECT_TRUE(p.Finalize().ok());
-    if (batched) {
-      std::vector<Event> copy = events;
-      p.PushBatch(std::span<Event>(copy));
-    } else {
-      for (const Event& e : events) p.Push(e);
-    }
-    p.Finish();
-    return out;
-  };
-
-  const Signature per_event = run(false);
-  const Signature batched = run(true);
-  ASSERT_FALSE(per_event.empty());
-  EXPECT_EQ(batched, per_event);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // End-to-end scenario tests: the aggressive-driver query of Listing 1 on
 // the Linear-Road-style generator, and cross-operator agreement between
 // TPStream (both modes), ISEQ and the two-phase straw man on identical
-// inputs.
+// inputs, and a market-surveillance query on the market generator.
 #include <random>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -10,9 +11,11 @@
 #include "baselines/strawman.h"
 #include "core/operator.h"
 #include "core/partitioned_operator.h"
+#include "query/builder.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
 #include "workload/linear_road.h"
+#include "workload/market.h"
 #include "workload/synthetic.h"
 
 namespace tpstream {
@@ -166,6 +169,50 @@ TEST(IntegrationTest, LinearRoadEndToEndFindsAggressiveDrivers) {
   EXPECT_GT(matches, 0);
   EXPECT_GT(drivers.size(), 1u);
   EXPECT_EQ(op.num_partitions(), 40u);
+}
+
+TEST(IntegrationTest, MarketSurveillanceEndToEnd) {
+  // Pump-and-dump style pattern on the market generator: a sustained
+  // rally overlapping a volume burst, followed by a selloff.
+  MarketDataGenerator::Options options;
+  options.num_symbols = 5;
+  MarketDataGenerator gen(options);
+  const Schema& schema = gen.schema();
+
+  QueryBuilder qb(schema);
+  qb.Define("RAMP", Gt(FieldRef(schema, "ret").value(), Literal(0.03)),
+            AtLeast(5))
+      .Define("BURST",
+              Gt(FieldRef(schema, "volume").value(), Literal(int64_t{160})),
+              AtLeast(5))
+      .Define("DUMP", Lt(FieldRef(schema, "ret").value(), Literal(-0.05)),
+              AtLeast(3))
+      .Relate("RAMP",
+              {Relation::kOverlaps, Relation::kDuring, Relation::kStarts,
+               Relation::kFinishes, Relation::kEquals, Relation::kContains},
+              "BURST")
+      .Relate("RAMP", {Relation::kBefore, Relation::kMeets}, "DUMP")
+      .Within(600)
+      .Return("symbol", "RAMP", AggKind::kFirst, "symbol")
+      .PartitionBy("symbol");
+  auto spec = qb.Build();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+
+  int64_t alerts = 0;
+  std::set<int64_t> symbols;
+  PartitionedTPStream op(spec.value(), {}, [&](const Event& e) {
+    ++alerts;
+    symbols.insert(e.payload[0].AsInt());
+  });
+  for (int i = 0; i < 200000; ++i) op.Push(gen.Next());
+  op.Flush();
+
+  EXPECT_GT(alerts, 0);
+  EXPECT_EQ(op.num_partitions(), 5u);
+  for (const int64_t symbol : symbols) {
+    EXPECT_GE(symbol, 0);
+    EXPECT_LT(symbol, 5);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // One-call recovery differential across every engine surface (operator,
-// partitioned, parallel, pipeline, query group): run with a durable log
+// partitioned, parallel, query group) and the reorder-in-front-of-
+// operator composite (tests/reorder_pipeline.h): run with a durable log
 // and a RecoveryManager, kill at arbitrary offsets — including with a
 // torn (unsynced) log tail and with the newest checkpoint corrupted —
 // recover with one call, and require the final re-checkpoint bytes to be
@@ -25,9 +26,9 @@
 #include "log/recovery.h"
 #include "multi/query_group.h"
 #include "parallel/parallel_operator.h"
-#include "pipeline/pipeline.h"
 #include "query/builder.h"
 #include "robust/dead_letter.h"
+#include "tests/reorder_pipeline.h"
 
 namespace tpstream {
 namespace {
@@ -111,7 +112,7 @@ enum class CrashMode {
 
 /// The generic per-surface differential. `make` returns a fresh engine
 /// (same construction every incarnation); `finish` quiesces an engine
-/// before its state is compared (pipeline Finish / parallel Flush).
+/// before its state is compared (parallel Flush).
 template <typename Engine, typename MakeFn, typename FinishFn>
 void RunRecoveryDifferential(MakeFn make, FinishFn finish,
                              const std::vector<Event>& events,
@@ -233,16 +234,13 @@ TEST_P(RecoveryDifferential, Parallel) {
 }
 
 TEST_P(RecoveryDifferential, Pipeline) {
-  const Schema schema = SensorSchema();
   const QuerySpec spec = SensorSpec();
   const auto make = [&] {
-    auto p = std::make_unique<pipeline::Pipeline>(schema);
-    p->Reorder(8).Detect(spec).Sink([](const Event&) {});
-    EXPECT_TRUE(p->Finalize().ok());
-    return p;
+    return std::make_unique<ReorderPipeline>(
+        spec, ooo::ReorderBuffer::Options{.slack = 8}, nullptr);
   };
-  RunRecoveryDifferential<pipeline::Pipeline>(
-      make, [](pipeline::Pipeline&) {},
+  RunRecoveryDifferential<ReorderPipeline>(
+      make, [](ReorderPipeline&) {},
       Disorder(MakeStream(kStreamLen, 54), /*k=*/4), GetParam());
 }
 
@@ -269,7 +267,6 @@ TEST_P(RecoveryDifferential, QueryGroup) {
 // --- reorder-buffer replay interaction (regression) ------------------------
 
 TEST(RecoveryReplay, LateEventQuarantineIsExactlyOnceAcrossCrash) {
-  const Schema schema = SensorSchema();
   const QuerySpec spec = SensorSpec();
   // Disorder groups of 6 against slack 2: some events are genuinely too
   // late and get dropped + quarantined.
@@ -278,13 +275,10 @@ TEST(RecoveryReplay, LateEventQuarantineIsExactlyOnceAcrossCrash) {
   const Duration slack = 2;
 
   const auto make = [&](robust::DeadLetterSink* dead) {
-    auto p = std::make_unique<pipeline::Pipeline>(schema);
     ooo::ReorderBuffer::Options ropts;
     ropts.slack = slack;
     ropts.dead_letter = dead;
-    p->Reorder(ropts).Detect(spec).Sink([](const Event&) {});
-    EXPECT_TRUE(p->Finalize().ok());
-    return p;
+    return std::make_unique<ReorderPipeline>(spec, ropts, nullptr);
   };
 
   // Uninterrupted reference: every late drop quarantines exactly once.
@@ -301,7 +295,7 @@ TEST(RecoveryReplay, LateEventQuarantineIsExactlyOnceAcrossCrash) {
                                        "regression scenario is vacuous";
 
   // Crashed run: the dead-letter sink survives the crash (it models a
-  // durable quarantine channel), the pipeline does not.
+  // durable quarantine channel), the engine does not.
   robust::CollectingDeadLetterSink dead;
   log::MemFileSystem fs;
   constexpr size_t kKill = 257;
@@ -348,7 +342,7 @@ TEST(RecoveryReplay, LateEventQuarantineIsExactlyOnceAcrossCrash) {
   }
 
   // And the engine state converged: counters (num_dropped included, via
-  // the serialized reorder stage) are byte-identical to the reference.
+  // the serialized reorder buffer) are byte-identical to the reference.
   ckpt::Writer final_ckpt;
   second->Checkpoint(final_ckpt);
   EXPECT_EQ(final_ckpt.buffer(), ref_final);
