@@ -15,7 +15,7 @@
 #include "baselines/iseq.h"
 #include "baselines/strawman.h"
 #include "bench/bench_util.h"
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 
 namespace tpstream {
 namespace bench {
@@ -87,7 +87,7 @@ inline int RunAggressiveBenchmark(int argc, char** argv, bool simplified) {
       spec.pattern = DriverPattern(simplified);
       spec.window = window;
       spec.partition_field = schema.IndexOf("car_id");
-      PartitionedTPStream op(spec, {}, nullptr);
+      TPStreamOperator op(spec, {}, nullptr);
       LinearRoadGenerator gen(lr);
       const double ms =
           TimeMs([&] { for (int64_t i = 0; i < n; ++i) op.Push(gen.Next()); });

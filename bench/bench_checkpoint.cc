@@ -4,7 +4,7 @@
 // durability costs the hot path:
 //
 //   operator.steady    TPStreamOperator, one stream, periodic checkpoints
-//   partitioned.k64    PartitionedTPStream over 64 partition keys
+//   partitioned.k64    TPStreamOperator, PARTITION BY over 64 keys
 //
 // Reported per run: sustained events/sec (checkpoint pauses included),
 // mean serialized bytes per checkpoint, and the checkpoint pause
@@ -34,7 +34,6 @@
 #include "bench/bench_util.h"
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "query/builder.h"
 
 namespace tpstream {
@@ -240,7 +239,7 @@ int Main(int argc, char** argv) {
                                               nullptr);
   }));
   runs.push_back(best_of("partitioned.k64", [&] {
-    return std::make_unique<PartitionedTPStream>(
+    return std::make_unique<TPStreamOperator>(
         part_spec, TPStreamOperator::Options{}, nullptr);
   }));
 

@@ -12,7 +12,8 @@
 //   recovery.n100000      checkpoint, replay a ~90% log tail
 //
 //   incremental.k8        full-vs-delta checkpoint bytes over a
-//                         PartitionedTPStream (full every 8th generation)
+//                         PARTITION BY TPStreamOperator (full every 8th
+//                         generation)
 //
 // Each run proves its durability claim before it reports a number: the
 // append runs reopen the log and replay it, comparing every event
@@ -41,7 +42,6 @@
 #include "bench/bench_util.h"
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "log/event_log.h"
 #include "log/memfs.h"
 #include "log/recovery.h"
@@ -303,9 +303,10 @@ RunResult RunRecovery(const std::string& name,
   return r;
 }
 
-/// Periodic RecoveryManager checkpoints over a PartitionedTPStream with
-/// a full snapshot every 8th generation; reports mean file bytes per
-/// full vs per delta and proves the chain restores byte-identically.
+/// Periodic RecoveryManager checkpoints over a PARTITION BY
+/// TPStreamOperator with a full snapshot every 8th generation; reports
+/// mean file bytes per full vs per delta and proves the chain restores
+/// byte-identically.
 RunResult RunIncremental(const std::string& name,
                          const std::vector<Event>& events, int64_t interval) {
   RunResult r;
@@ -332,7 +333,7 @@ RunResult RunIncremental(const std::string& name,
   }
 
   const QuerySpec spec = DurabilitySpec(/*partitioned=*/true);
-  PartitionedTPStream reference(spec, TPStreamOperator::Options{}, nullptr);
+  TPStreamOperator reference(spec, TPStreamOperator::Options{}, nullptr);
   int64_t full_bytes = 0, delta_bytes = 0;
 
   const int64_t start = NowNs();
@@ -395,7 +396,7 @@ RunResult RunIncremental(const std::string& name,
                  s.ToString().c_str());
     return r;
   }
-  PartitionedTPStream recovered(spec, TPStreamOperator::Options{}, nullptr);
+  TPStreamOperator recovered(spec, TPStreamOperator::Options{}, nullptr);
   auto report = mgr2->Recover(recovered);
   if (!report.ok()) {
     std::fprintf(stderr, "%s: recover: %s\n", name.c_str(),

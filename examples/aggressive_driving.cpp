@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 #include "query/parser.h"
 #include "workload/linear_road.h"
 
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   std::printf("deployed query:\n%s\n\n", query);
 
   int64_t alerts = 0;
-  PartitionedTPStream op(spec.value(), {}, [&](const Event& alert) {
+  TPStreamOperator op(spec.value(), {}, [&](const Event& alert) {
     if (++alerts <= 10) {
       std::printf(
           "t=%-7lld ALERT car=%lld avg_speed=%.1f mph peak_accel=%.1f "

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <random>
 
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 #include "query/builder.h"
 
 using namespace tpstream;
@@ -47,7 +47,7 @@ int main() {
   }
 
   int64_t incidents = 0;
-  PartitionedTPStream op(spec.value(), {}, [&](const Event& incident) {
+  TPStreamOperator op(spec.value(), {}, [&](const Event& incident) {
     if (++incidents <= 8) {
       std::printf(
           "t=%-6lld INCIDENT host=%lld peak_temp=%.1fC burst_samples=%lld\n",

@@ -54,8 +54,8 @@ enum class Tag : uint32_t {
   kReorderBuffer = 13,
   kParallel = 14,
   // 15 and 16 are retired and never reused.
-  /// Dirty-partition delta for PartitionedTPStream (incremental
-  /// checkpoints; full snapshots keep kPartitioned).
+  /// Dirty-partition delta of a PARTITION BY TPStreamOperator
+  /// (incremental checkpoints; full snapshots keep kPartitioned).
   kPartitionedDelta = 17,
   /// Dirty-engine delta for multi::QueryGroup.
   kQueryGroupDelta = 18,

@@ -6,24 +6,7 @@
 
 namespace tpstream {
 
-namespace {
-
-std::vector<DurationConstraint> QueryDurations(
-    const Deriver& deriver, const std::vector<int>& deriver_slots) {
-  // The shared deriver of a QueryGroup stores definitions in
-  // deduplicated order, so index through the slot mapping (the identity
-  // for a standalone operator).
-  const std::vector<DurationConstraint> shared = deriver.durations();
-  std::vector<DurationConstraint> durations;
-  durations.reserve(deriver_slots.size());
-  for (int slot : deriver_slots) durations.push_back(shared[slot]);
-  return durations;
-}
-
-}  // namespace
-
 MatchEngine::Program::Program(const QuerySpec* spec,
-                              std::vector<DurationConstraint> durations,
                               std::vector<int> deriver_slots, Options options,
                               OutputCallback output,
                               std::shared_ptr<InitialPlan> initial_plan)
@@ -33,6 +16,11 @@ MatchEngine::Program::Program(const QuerySpec* spec,
       output_(std::move(output)) {
   DetectionAnalysis analysis;
   if (options_.low_latency) {
+    std::vector<DurationConstraint> durations;
+    durations.reserve(spec_->definitions.size());
+    for (const SituationDefinition& def : spec_->definitions) {
+      durations.push_back(def.duration);
+    }
     analysis = DetectionAnalysis(spec_->pattern, durations);
   }
   matcher_ = std::make_shared<MatcherProgram>(spec_->pattern, spec_->window,
@@ -87,12 +75,10 @@ void MatchEngine::Program::LoadInitialPlan() {
 MatchEngine::MatchEngine(const QuerySpec* spec, const Deriver* deriver,
                          std::vector<int> deriver_slots, Options options,
                          OutputCallback output)
-    : MatchEngine(
-          std::make_shared<Program>(spec,
-                                    QueryDurations(*deriver, deriver_slots),
-                                    std::move(deriver_slots),
-                                    std::move(options), std::move(output)),
-          deriver) {}
+    : MatchEngine(std::make_shared<Program>(spec, std::move(deriver_slots),
+                                           std::move(options),
+                                           std::move(output)),
+                  deriver) {}
 
 MatchEngine::MatchEngine(std::shared_ptr<Program> program,
                          const Deriver* deriver)
@@ -209,10 +195,6 @@ void MatchEngine::Consume(Deriver::Update& update, TimePoint t) {
 void MatchEngine::Flush() {
   Program& p = *program_;
   if (p.stats_publisher_.enabled()) p.stats_publisher_.Publish(stats());
-}
-
-void MatchEngine::SetMatchObserver(MatchCallback observer) {
-  program_->match_observer_ = std::move(observer);
 }
 
 void MatchEngine::OnMatch(const Match& match) {

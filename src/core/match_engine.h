@@ -93,9 +93,6 @@ class MatchEngine {
   /// calls afterwards.
   void Flush();
 
-  /// The observer is part of the program: it sees the matches of every
-  /// engine sharing it.
-  void SetMatchObserver(MatchCallback observer);
   void ForceEvaluationOrder(const std::vector<int>& order);
 
   /// Returns the engine to its freshly-constructed state: event/match
@@ -109,7 +106,7 @@ class MatchEngine {
   /// Serializes all stream-derived engine state: logical event/match
   /// counts, the active matcher and the adaptive controller. Part of an
   /// enclosing checkpoint; the event-log offset lives in the surface
-  /// envelope (TPStreamOperator, PartitionedTPStream, QueryGroup).
+  /// envelope (TPStreamOperator, QueryGroup).
   void Checkpoint(ckpt::Writer& w) const;
 
   /// Restores a checkpoint taken on an engine with the same configuration
@@ -166,17 +163,20 @@ class MatchEngine::Program {
     std::optional<AdaptiveController> state;
   };
 
-  /// `durations` are the duration constraints in query symbol order.
   /// Programs for the same query and options may share one
   /// `initial_plan`: whichever needs it first computes it, the others
   /// copy it, so the engines of one deployment run the DP once in total.
   /// Null gives the program a plan of its own.
-  Program(const QuerySpec* spec, std::vector<DurationConstraint> durations,
-          std::vector<int> deriver_slots, Options options,
-          OutputCallback output,
+  Program(const QuerySpec* spec, std::vector<int> deriver_slots,
+          Options options, OutputCallback output,
           std::shared_ptr<InitialPlan> initial_plan = nullptr);
   Program(const Program&) = delete;
   Program& operator=(const Program&) = delete;
+
+  /// Observes the raw matches of every engine sharing this program.
+  void SetMatchObserver(MatchCallback observer) {
+    match_observer_ = std::move(observer);
+  }
 
  private:
   friend class MatchEngine;

@@ -70,7 +70,7 @@ Result<int> QueryGroup::AddQuery(QuerySpec spec, OutputCallback output,
   eo.fixed_order = std::move(query_options.fixed_order);
   eo.metrics = query_options.metrics;
   eo.overload = query_options.overload.value_or(options_.overload);
-  eo.plan_cache = options_.share_plans ? &plan_cache_ : nullptr;
+  eo.plan_cache = &plan_cache_;
   query->engine_options = std::move(eo);
 
   // Deduplicate this query's definitions into the shared set and record
@@ -228,85 +228,58 @@ void QueryGroup::Reset() {
   for (auto& query : queries_) query->engine->Reset();
   // A rewind touches every engine; invalidate the incremental baseline
   // until the next full checkpoint or restore (mirrors
-  // PartitionedTPStream::Reset).
+  // TPStreamOperator::Reset).
   ckpt_dirty_.assign(queries_.size(), 0);
   incremental_valid_ = false;
 }
 
 void QueryGroup::Checkpoint(ckpt::Writer& w) {
   if (!sealed_) Seal();
-  w.Envelope(static_cast<uint64_t>(num_events_));
-  const size_t cookie = w.BeginSection(ckpt::Tag::kQueryGroup);
-  w.U32(static_cast<uint32_t>(num_queries()));
-  w.U32(static_cast<uint32_t>(num_distinct_definitions()));
-  deriver_->Checkpoint(w);
-  for (const auto& query : queries_) query->engine->Checkpoint(w);
-  w.EndSection(cookie);
-}
-
-Status QueryGroup::Restore(ckpt::Reader& r, uint64_t* offset) {
-  if (!sealed_) Seal();
-  uint64_t off = 0;
-  Status status = r.Envelope(&off);
-  if (!status.ok()) return status;
-  const size_t end = r.BeginSection(ckpt::Tag::kQueryGroup);
-  const uint32_t num_queries_ck = r.U32();
-  const uint32_t num_defs_ck = r.U32();
-  if (r.ok() && num_queries_ck != static_cast<uint32_t>(num_queries())) {
-    r.Fail(Status::InvalidArgument(
-        "checkpoint: query count mismatch (different queries registered?)"));
-    return r.status();
-  }
-  if (r.ok() &&
-      num_defs_ck != static_cast<uint32_t>(num_distinct_definitions())) {
-    r.Fail(Status::InvalidArgument(
-        "checkpoint: distinct definition count mismatch (different queries "
-        "registered?)"));
-    return r.status();
-  }
-  status = deriver_->Restore(r);
-  if (!status.ok()) return status;
-  for (auto& query : queries_) {
-    status = query->engine->Restore(r);
-    if (!status.ok()) return status;
-  }
-  status = r.EndSection(end);
-  if (!status.ok()) return status;
-  num_events_ = static_cast<int64_t>(off);
-  // The in-memory state now equals the restored snapshot: it becomes
-  // the incremental baseline (replay re-dirties exactly the queries
-  // that changed after it).
-  ckpt_dirty_.assign(queries_.size(), 0);
-  incremental_valid_ = true;
-  if (offset != nullptr) *offset = off;
-  return Status::OK();
+  Write(w, ckpt::Tag::kQueryGroup);
 }
 
 void QueryGroup::CheckpointIncremental(ckpt::Writer& w) const {
+  Write(w, ckpt::Tag::kQueryGroupDelta);
+}
+
+Status QueryGroup::Restore(ckpt::Reader& r, uint64_t* offset) {
+  return Read(r, ckpt::Tag::kQueryGroup, offset);
+}
+
+Status QueryGroup::RestoreIncremental(ckpt::Reader& r, uint64_t* offset) {
+  return Read(r, ckpt::Tag::kQueryGroupDelta, offset);
+}
+
+void QueryGroup::Write(ckpt::Writer& w, ckpt::Tag tag) const {
+  const bool delta = tag == ckpt::Tag::kQueryGroupDelta;
   w.Envelope(static_cast<uint64_t>(num_events_));
-  const size_t cookie = w.BeginSection(ckpt::Tag::kQueryGroupDelta);
+  const size_t cookie = w.BeginSection(tag);
   w.U32(static_cast<uint32_t>(num_queries()));
   w.U32(static_cast<uint32_t>(num_distinct_definitions()));
-  // The shared deriver advances on every event; it is always part of
-  // the delta.
+  // The shared deriver advances on every event; it is always part of a
+  // delta too.
   deriver_->Checkpoint(w);
-  uint32_t dirty_count = 0;
-  for (char d : ckpt_dirty_) dirty_count += (d != 0);
-  w.U32(dirty_count);
+  if (delta) {
+    uint32_t dirty_count = 0;
+    for (char d : ckpt_dirty_) dirty_count += (d != 0);
+    w.U32(dirty_count);
+  }
   for (int q = 0; q < num_queries(); ++q) {
-    if (!ckpt_dirty_[q]) continue;
-    w.U32(static_cast<uint32_t>(q));
+    if (delta) {
+      if (!ckpt_dirty_[q]) continue;
+      w.U32(static_cast<uint32_t>(q));
+    }
     queries_[q]->engine->Checkpoint(w);
   }
   w.EndSection(cookie);
 }
 
-Status QueryGroup::RestoreIncremental(ckpt::Reader& r, uint64_t* offset) {
+Status QueryGroup::Read(ckpt::Reader& r, ckpt::Tag tag, uint64_t* offset) {
   if (!sealed_) Seal();
   uint64_t off = 0;
   Status status = r.Envelope(&off);
   if (!status.ok()) return status;
-  const size_t end = r.BeginSection(ckpt::Tag::kQueryGroupDelta);
+  const size_t end = r.BeginSection(tag);
   const uint32_t num_queries_ck = r.U32();
   const uint32_t num_defs_ck = r.U32();
   if (r.ok() && num_queries_ck != static_cast<uint32_t>(num_queries())) {
@@ -323,25 +296,35 @@ Status QueryGroup::RestoreIncremental(ckpt::Reader& r, uint64_t* offset) {
   }
   status = deriver_->Restore(r);
   if (!status.ok()) return status;
-  const uint32_t dirty_count = r.U32();
-  if (dirty_count > num_queries_ck) {
-    r.Fail(Status::ParseError("checkpoint: delta query count exceeds group"));
-    return r.status();
-  }
-  for (uint32_t i = 0; i < dirty_count && r.ok(); ++i) {
-    const uint32_t q = r.U32();
-    if (q >= static_cast<uint32_t>(num_queries())) {
-      r.Fail(Status::ParseError("checkpoint: delta query id out of range"));
+  if (tag == ckpt::Tag::kQueryGroup) {
+    for (auto& query : queries_) {
+      status = query->engine->Restore(r);
+      if (!status.ok()) return status;
+    }
+  } else {
+    const uint32_t dirty_count = r.U32();
+    if (dirty_count > num_queries_ck) {
+      r.Fail(
+          Status::ParseError("checkpoint: delta query count exceeds group"));
       return r.status();
     }
-    status = queries_[q]->engine->Restore(r);
-    if (!status.ok()) return status;
+    for (uint32_t i = 0; i < dirty_count && r.ok(); ++i) {
+      const uint32_t q = r.U32();
+      if (q >= static_cast<uint32_t>(num_queries())) {
+        r.Fail(Status::ParseError("checkpoint: delta query id out of range"));
+        return r.status();
+      }
+      status = queries_[q]->engine->Restore(r);
+      if (!status.ok()) return status;
+    }
   }
   status = r.EndSection(end);
   if (!status.ok()) return status;
   num_events_ = static_cast<int64_t>(off);
-  ckpt_dirty_.assign(queries_.size(), 0);
-  incremental_valid_ = true;
+  // The in-memory state now equals the restored chain: it becomes the
+  // incremental baseline (replay re-dirties exactly the queries that
+  // change after it).
+  MarkCheckpointBaseline();
   if (offset != nullptr) *offset = off;
   return Status::OK();
 }

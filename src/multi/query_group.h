@@ -57,8 +57,8 @@ namespace multi {
 /// synchronization point — counters become exact — and the stream may
 /// continue afterwards.
 ///
-/// Single-threaded, like TPStreamOperator; wrap in PartitionedTPStream /
-/// ParallelTPStream-style sharding for parallelism.
+/// Single-threaded, like TPStreamOperator; wrap in ParallelTPStream-style
+/// sharding for parallelism.
 class QueryGroup {
  public:
   struct Options {
@@ -73,9 +73,6 @@ class QueryGroup {
     /// `multi.*` group metrics. Per-query metrics go to
     /// QueryOptions::metrics. Must outlive the group.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Cross-query memo of optimizer plans (on by default; never changes
-    /// any query's plan, only skips recomputation).
-    bool share_plans = true;
     /// Compile the shared deriver's DEFINE predicates to bytecode
     /// (expr/bytecode.h), evaluated columnarly over PushBatch() spans;
     /// single events (Push) always use the interpreter. Programs are
@@ -220,6 +217,12 @@ class QueryGroup {
   /// Lazily advances query `q`'s engine to the group event count,
   /// marking it checkpoint-dirty when it actually advances.
   void SyncEvents(int q);
+
+  /// The full (kQueryGroup) or delta (kQueryGroupDelta) layout: the
+  /// envelope, the query and distinct-definition counts, the shared
+  /// deriver, then every engine (full) or the dirty ones by id (delta).
+  void Write(ckpt::Writer& w, ckpt::Tag tag) const;
+  Status Read(ckpt::Reader& r, ckpt::Tag tag, uint64_t* offset);
 
   Options options_;
   std::vector<std::unique_ptr<Query>> queries_;

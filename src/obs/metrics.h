@@ -34,7 +34,7 @@ namespace obs {
 /// Metric naming scheme: `<component>.<metric>` with lowercase dotted
 /// segments, e.g. `deriver.situations_finished`,
 /// `matcher.detection_latency`. Re-registering a name returns the same
-/// metric object, so the partitions of a PartitionedTPStream — and any
+/// metric object, so the partitions of a PARTITION BY query — and any
 /// engines sharing one registry — aggregate into one set of
 /// process-wide counters.
 

@@ -141,9 +141,9 @@ ParallelTPStream::ParallelTPStream(QuerySpec spec, Options options,
     }
     // The workers share one initial plan: the first to create a key
     // computes it, the others copy it, so the deployment runs the plan DP
-    // once, like a sequential PartitionedTPStream (and its `optimizer.*`
+    // once, like a sequential TPStreamOperator (and its `optimizer.*`
     // counters agree).
-    worker->engine = std::make_unique<PartitionedTPStream>(
+    worker->engine = std::make_unique<TPStreamOperator>(
         spec_, op_options, std::move(sink),
         workers_.empty() ? nullptr : workers_.front()->engine.get());
     workers_.push_back(std::move(worker));
@@ -301,7 +301,7 @@ bool ParallelTPStream::ResolveFullRing(Worker* worker, EventBatch* batch) {
 
     case robust::BackpressurePolicy::kDropNewest: {
       // Bounded wait, then shed the batch being submitted.
-      for (int spin = 0; spin < options_.shed_spin; ++spin) {
+      for (int spin = 0; spin < kShedSpin; ++spin) {
         if (spin < kSpinRelax) {
           CpuRelax();
         } else {
@@ -319,7 +319,7 @@ bool ParallelTPStream::ResolveFullRing(Worker* worker, EventBatch* batch) {
       // rather than engine cost.
       worker->drop_credit.fetch_add(1, std::memory_order_acq_rel);
       bool pushed = false;
-      for (int spin = 0; spin < options_.shed_spin && !pushed; ++spin) {
+      for (int spin = 0; spin < kShedSpin && !pushed; ++spin) {
         if (spin < kSpinRelax) {
           CpuRelax();
         } else {
@@ -339,7 +339,7 @@ bool ParallelTPStream::ResolveFullRing(Worker* worker, EventBatch* batch) {
       if (!TakeCredit(&worker->drop_credit)) {
         // The worker consumed the credit, so a slot is being freed right
         // now; give the push one more bounded spin.
-        for (int spin = 0; spin < options_.shed_spin && !pushed; ++spin) {
+        for (int spin = 0; spin < kShedSpin && !pushed; ++spin) {
           CpuRelax();
           pushed = worker->ring.TryPush(std::move(*batch));
         }

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "ckpt/serde.h"
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 #include "obs/metrics.h"
 #include "parallel/spsc_ring.h"
 #include "robust/dead_letter.h"
@@ -34,7 +34,7 @@ struct EventBatch {
 /// Partition-parallel TPStream execution — the paper's second future-work
 /// item (Section 7): partitions (PARTITION BY keys) are hashed onto a
 /// fixed set of worker threads, each running an independent
-/// PartitionedTPStream over its share of the keys. Because partitions are
+/// TPStreamOperator over its share of the keys. Because partitions are
 /// evaluated independently by definition, results are identical to the
 /// sequential operator (verified by tests), while ingestion scales with
 /// the number of workers.
@@ -95,7 +95,7 @@ class ParallelTPStream {
     /// contract, docs/architecture.md):
     ///  * kBlock (default): adaptive spin, then park until a slot frees —
     ///    lossless, unbounded push latency under sustained overload.
-    ///  * kDropNewest: spin at most `shed_spin` iterations, then shed the
+    ///  * kDropNewest: spin at most kShedSpin iterations, then shed the
     ///    batch being submitted. Push latency is bounded; the freshest
     ///    data is lost first.
     ///  * kDropOldest: grant the worker a drop credit (it discards the
@@ -113,11 +113,12 @@ class ParallelTPStream {
     /// (drop-oldest) both deliver to it. Not owned; must outlive the
     /// operator.
     robust::DeadLetterSink* dead_letter = nullptr;
-    /// Spin budget (iterations) a drop policy waits for a slot before
-    /// shedding. Bounds the producer's worst-case push latency; irrelevant
-    /// under kBlock.
-    int shed_spin = 256;
   };
+
+  /// Spin budget (iterations) a drop policy waits for a slot before
+  /// shedding. Bounds the producer's worst-case push latency; irrelevant
+  /// under kBlock.
+  static constexpr int kShedSpin = 256;
 
   ParallelTPStream(QuerySpec spec, Options options,
                    TPStreamOperator::OutputCallback output);
@@ -166,7 +167,7 @@ class ParallelTPStream {
   void Reset();
 
   /// Quiescent checkpoint: flushes (all rings drained, every worker
-  /// idle), then serializes each worker's partitioned engine in worker
+  /// idle), then serializes each worker's engine in worker
   /// order, stamped with the event-log offset (= num_events()). Single
   /// producer only — counts as a producer call.
   void Checkpoint(ckpt::Writer& w);
@@ -209,7 +210,7 @@ class ParallelTPStream {
     /// batch-publish counters below record here; only this worker's
     /// thread writes, any thread may snapshot (merge-on-read).
     obs::MetricsRegistry registry;
-    std::unique_ptr<PartitionedTPStream> engine;  // worker-thread-owned
+    std::unique_ptr<TPStreamOperator> engine;  // worker-thread-owned
     std::thread thread;
 
     /// Lock-free hand-off: filled batches flow producer -> worker through

@@ -7,8 +7,9 @@
 ///   - describe the input with a Schema;
 ///   - build a query with QueryBuilder (query/builder.h) or parse the
 ///     textual language (query/parser.h);
-///   - run it with TPStreamOperator or PartitionedTPStream
-///     (core/operator.h, core/partitioned_operator.h);
+///   - run it with TPStreamOperator (core/operator.h), which honours
+///     PARTITION BY itself, or spread the keys over worker threads with
+///     parallel::ParallelTPStream (parallel/parallel_operator.h);
 ///   - consume output events (RETURN projections) or raw matches.
 ///
 /// Lower-level building blocks (deriver, matchers, interval algebra,
@@ -25,7 +26,6 @@
 #include "common/time.h"
 #include "common/value.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "core/query_spec.h"
 #include "derive/definition.h"
 #include "derive/deriver.h"

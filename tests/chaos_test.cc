@@ -34,7 +34,6 @@
 #include <gtest/gtest.h>
 
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "io/csv.h"
 #include "matcher/low_latency_matcher.h"
 #include "obs/metrics.h"
@@ -257,7 +256,7 @@ Sig SequentialReference(const QuerySpec& spec,
                         const TPStreamOperator::Options& op_options,
                         const std::vector<Event>& events) {
   Sig out;
-  PartitionedTPStream op(spec, op_options, [&](const Event& e) {
+  TPStreamOperator op(spec, op_options, [&](const Event& e) {
     out.emplace_back(e.t, e.payload[0].AsInt(), e.payload[1].AsInt());
   });
   for (const Event& e : events) op.Push(e);

@@ -14,7 +14,6 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "query/builder.h"
 
 namespace tpstream {
@@ -107,7 +106,7 @@ TEST(CheckpointChaos, RepeatedKillAndRecoverPreservesMatchStream) {
 // never a crash, never a false success.
 TEST(CheckpointChaos, TruncationAtEveryBoundaryFailsCleanly) {
   const QuerySpec spec = SensorSpec(/*partitioned=*/true);
-  PartitionedTPStream source(spec, {}, nullptr);
+  TPStreamOperator source(spec, {}, nullptr);
   for (const Event& e : MakeStream(200, 23, /*keys=*/3)) source.Push(e);
   ckpt::Writer w;
   source.Checkpoint(w);
@@ -115,7 +114,7 @@ TEST(CheckpointChaos, TruncationAtEveryBoundaryFailsCleanly) {
   ASSERT_GT(blob.size(), 0u);
 
   for (size_t len = 0; len < blob.size(); ++len) {
-    PartitionedTPStream target(spec, {}, nullptr);
+    TPStreamOperator target(spec, {}, nullptr);
     ckpt::Reader r(std::string_view(blob).substr(0, len));
     const Status status = target.Restore(r);
     EXPECT_FALSE(status.ok()) << "prefix of " << len << " bytes restored";
@@ -123,7 +122,7 @@ TEST(CheckpointChaos, TruncationAtEveryBoundaryFailsCleanly) {
 
   // The untruncated blob still restores (the loop above didn't prove the
   // blob was simply unreadable).
-  PartitionedTPStream target(spec, {}, nullptr);
+  TPStreamOperator target(spec, {}, nullptr);
   ckpt::Reader r(blob);
   EXPECT_TRUE(target.Restore(r).ok());
 }
@@ -192,8 +191,11 @@ TEST(CheckpointChaos, ArbitraryBytesAreRejected) {
 TEST(CheckpointChaos, DuplicateOrUnsortedPartitionKeysAreRejected) {
   const QuerySpec spec = SensorSpec(/*partitioned=*/true);
   const std::vector<Event> events = MakeStream(120, 27);
-  TPStreamOperator first(spec, {}, nullptr);
-  TPStreamOperator second(spec, {}, nullptr);
+  // Two key states in the per-key (unpartitioned operator) layout.
+  QuerySpec key_spec = spec;
+  key_spec.partition_field = -1;
+  TPStreamOperator first(key_spec, {}, nullptr);
+  TPStreamOperator second(key_spec, {}, nullptr);
   for (size_t i = 0; i < events.size(); ++i) {
     (i % 2 == 0 ? first : second).Push(events[i]);
   }
@@ -224,7 +226,7 @@ TEST(CheckpointChaos, DuplicateOrUnsortedPartitionKeysAreRejected) {
       const ckpt::Tag tag =
           delta ? ckpt::Tag::kPartitionedDelta : ckpt::Tag::kPartitioned;
       auto restore = [&](const std::string& bytes) {
-        PartitionedTPStream target(spec, {}, nullptr);
+        TPStreamOperator target(spec, {}, nullptr);
         ckpt::Reader r(bytes);
         return delta ? target.RestoreIncremental(r) : target.Restore(r);
       };

@@ -19,7 +19,6 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "multi/query_group.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"
@@ -211,7 +210,7 @@ TEST(CheckpointDifferential, PartitionedStream) {
   const std::vector<Event> events = MakeStream(kStreamLen, 16, /*keys=*/5);
 
   std::vector<Event> ref_outputs;
-  PartitionedTPStream ref(spec, {},
+  TPStreamOperator ref(spec, {},
                           [&](const Event& e) { ref_outputs.push_back(e); });
   for (const Event& e : events) ref.Push(e);
   ckpt::Writer ref_final;
@@ -221,12 +220,12 @@ TEST(CheckpointDifferential, PartitionedStream) {
     std::vector<Event> outputs;
     ckpt::Writer w;
     {
-      PartitionedTPStream first(
+      TPStreamOperator first(
           spec, {}, [&](const Event& e) { outputs.push_back(e); });
       for (size_t i = 0; i < kill; ++i) first.Push(events[i]);
       first.Checkpoint(w);
     }
-    PartitionedTPStream second(
+    TPStreamOperator second(
         spec, {}, [&](const Event& e) { outputs.push_back(e); });
     ckpt::Reader r(w.buffer());
     uint64_t offset = 0;

@@ -5,7 +5,7 @@
 //  1. Differential correctness: across randomized worker counts, batch
 //     sizes, key counts, partition skews, and interleaved Flush() calls,
 //     the parallel match multiset must equal the single-threaded
-//     PartitionedTPStream reference exactly.
+//     TPStreamOperator reference exactly.
 //  2. Stats safety: num_matches()/num_partitions()/num_events() must be
 //     callable from a second thread while ingestion is running (TSan
 //     verifies freedom from data races) and must be monotone snapshots.
@@ -26,7 +26,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 #include "obs/metrics.h"
 #include "query/builder.h"
 
@@ -78,7 +78,7 @@ using Signature = std::vector<std::pair<TimePoint, int64_t>>;
 Signature SequentialReference(const QuerySpec& spec,
                               const std::vector<Event>& events) {
   Signature out;
-  PartitionedTPStream op(spec, {}, [&](const Event& e) {
+  TPStreamOperator op(spec, {}, [&](const Event& e) {
     out.emplace_back(e.t, e.payload[0].AsInt());
   });
   for (const Event& e : events) op.Push(e);

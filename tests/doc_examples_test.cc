@@ -2,7 +2,7 @@
 // docs/query_language.md and README.md must parse and run.
 #include <gtest/gtest.h>
 
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 #include "query/parser.h"
 #include "workload/linear_road.h"
 
@@ -31,7 +31,7 @@ TEST(DocExamplesTest, QueryLanguageReferenceExample) {
   EXPECT_EQ(spec.value().returns.size(), 4u);
 
   // It must also deploy and process events without issue.
-  PartitionedTPStream op(spec.value(), {}, nullptr);
+  TPStreamOperator op(spec.value(), {}, nullptr);
   LinearRoadGenerator source({});
   for (int i = 0; i < 20000; ++i) op.Push(source.Next());
   EXPECT_EQ(op.num_events(), 20000);

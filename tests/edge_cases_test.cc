@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/detection.h"
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 #include "matcher/matcher.h"
 #include "query/builder.h"
 #include "tests/test_util.h"
@@ -98,7 +98,7 @@ TEST(EdgeCaseTest, PartitionByStringKeys) {
   ASSERT_TRUE(spec.ok());
 
   std::vector<std::string> hosts;
-  PartitionedTPStream op(spec.value(), {}, [&](const Event& e) {
+  TPStreamOperator op(spec.value(), {}, [&](const Event& e) {
     hosts.push_back(e.payload[0].AsString());
   });
   for (TimePoint t = 1; t <= 10; ++t) {

@@ -1,7 +1,10 @@
-// One conformance suite for the engine contract (log::Engine): every
-// ingestion surface — TPStreamOperator, PartitionedTPStream,
-// parallel::ParallelTPStream and multi::QueryGroup — runs the same typed
-// cases, each described by a small traits struct (make, drain, metrics):
+// One conformance suite for the engine contract (log::Engine): the three
+// ingestion surfaces — TPStreamOperator, parallel::ParallelTPStream and
+// multi::QueryGroup — run the same typed cases, each row described by a
+// small traits struct (make, drain, metrics). TPStreamOperator has two
+// rows, one per checkpoint layout: OperatorSurface runs an unpartitioned
+// query (one kOperator section, full snapshots only) and
+// PartitionedSurface a PARTITION BY one (kPartitioned, sorted by key):
 //
 //  * Flush is an idempotent synchronization point: a no-op on an empty
 //    stream, it publishes gauges and a second Flush changes neither state
@@ -34,7 +37,6 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "log/recovery.h"
 #include "multi/query_group.h"
 #include "obs/metrics.h"
@@ -45,7 +47,6 @@ namespace tpstream {
 namespace {
 
 static_assert(log::Engine<TPStreamOperator>);
-static_assert(log::Engine<PartitionedTPStream>);
 static_assert(log::Engine<parallel::ParallelTPStream>);
 static_assert(log::Engine<multi::QueryGroup>);
 
@@ -128,19 +129,21 @@ class Collector {
   std::vector<std::string> lines_;
 };
 
-// --- one traits struct per surface ------------------------------------------
+// --- one traits struct per row ----------------------------------------------
 
 /// Make wires an optional metrics registry; Metrics reads back what the
 /// engine recorded (ParallelTPStream merges its worker-local registries).
-struct OperatorSurface {
+/// The TPStreamOperator rows: one per checkpoint layout.
+template <bool kPartitioned>
+struct OperatorRow {
   using Engine = TPStreamOperator;
-  static constexpr int kKeys = 1;
+  static constexpr int kKeys = kPartitioned ? 5 : 1;
   static constexpr bool kOrdered = true;
   static std::unique_ptr<Engine> Make(Collector* out,
                                       obs::MetricsRegistry* metrics) {
     TPStreamOperator::Options options;
     options.metrics = metrics;
-    return std::make_unique<Engine>(OverlapSpec(false), options,
+    return std::make_unique<Engine>(OverlapSpec(kPartitioned), options,
                                     out->Callback());
   }
   static void Drain(Engine&) {}
@@ -148,23 +151,10 @@ struct OperatorSurface {
     return r.Snapshot();
   }
 };
-
-struct PartitionedSurface {
-  using Engine = PartitionedTPStream;
-  static constexpr int kKeys = 5;
-  static constexpr bool kOrdered = true;
-  static std::unique_ptr<Engine> Make(Collector* out,
-                                      obs::MetricsRegistry* metrics) {
-    TPStreamOperator::Options options;
-    options.metrics = metrics;
-    return std::make_unique<Engine>(OverlapSpec(true), options,
-                                    out->Callback());
-  }
-  static void Drain(Engine&) {}
-  static obs::MetricsSnapshot Metrics(Engine&, obs::MetricsRegistry& r) {
-    return r.Snapshot();
-  }
-};
+/// Unpartitioned query: envelope + one kOperator section.
+struct OperatorSurface : OperatorRow<false> {};
+/// PARTITION BY query: envelope + one kPartitioned section.
+struct PartitionedSurface : OperatorRow<true> {};
 
 struct ParallelSurface {
   using Engine = parallel::ParallelTPStream;

@@ -10,7 +10,6 @@
 #include "baselines/iseq.h"
 #include "baselines/strawman.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "query/builder.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
@@ -43,7 +42,7 @@ TEST(IntegrationTest, AggressiveDriverScenarioByHand) {
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
 
   std::vector<Event> outputs;
-  PartitionedTPStream op(spec.value(), {}, [&](const Event& e) {
+  TPStreamOperator op(spec.value(), {}, [&](const Event& e) {
     outputs.push_back(e);
   });
 
@@ -160,7 +159,7 @@ TEST(IntegrationTest, LinearRoadEndToEndFindsAggressiveDrivers) {
 
   int64_t matches = 0;
   std::set<int64_t> drivers;
-  PartitionedTPStream op(spec.value(), {}, [&](const Event& e) {
+  TPStreamOperator op(spec.value(), {}, [&](const Event& e) {
     ++matches;
     drivers.insert(e.payload[0].AsInt());
   });
@@ -200,7 +199,7 @@ TEST(IntegrationTest, MarketSurveillanceEndToEnd) {
 
   int64_t alerts = 0;
   std::set<int64_t> symbols;
-  PartitionedTPStream op(spec.value(), {}, [&](const Event& e) {
+  TPStreamOperator op(spec.value(), {}, [&](const Event& e) {
     ++alerts;
     symbols.insert(e.payload[0].AsInt());
   });

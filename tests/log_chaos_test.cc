@@ -17,7 +17,6 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "log/event_log.h"
 #include "log/memfs.h"
 #include "log/recovery.h"
@@ -223,7 +222,7 @@ TEST(LogChaos, KillAtEveryDeltaByteDegradesToChainPrefix) {
 
   ckpt::Writer ref_w;
   {
-    PartitionedTPStream ref(spec, {}, nullptr);
+    TPStreamOperator ref(spec, {}, nullptr);
     for (const Event& e : events) ref.Push(e);
     ref.Checkpoint(ref_w);
   }
@@ -237,7 +236,7 @@ TEST(LogChaos, KillAtEveryDeltaByteDegradesToChainPrefix) {
   {
     auto log = MustOpenLog(&image);
     auto mgr = MustOpenManager(&image, log.get(), mopts);
-    PartitionedTPStream engine(spec, {}, nullptr);
+    TPStreamOperator engine(spec, {}, nullptr);
     for (size_t i = 0; i < events.size(); ++i) {
       Feed(*log, engine, events[i]);
       if ((i + 1) % 40 == 0) ASSERT_TRUE(mgr->Checkpoint(engine).ok());
@@ -255,7 +254,7 @@ TEST(LogChaos, KillAtEveryDeltaByteDegradesToChainPrefix) {
     {
       auto log = MustOpenLog(&fs);
       auto mgr = MustOpenManager(&fs, log.get(), mopts);
-      PartitionedTPStream engine(spec, {}, nullptr);
+      TPStreamOperator engine(spec, {}, nullptr);
       for (size_t i = 0; i < events.size(); ++i) {
         Feed(*log, engine, events[i]);
         if ((i + 1) % 40 == 0) ASSERT_TRUE(mgr->Checkpoint(engine).ok());
@@ -265,7 +264,7 @@ TEST(LogChaos, KillAtEveryDeltaByteDegradesToChainPrefix) {
 
     auto log = MustOpenLog(&fs);
     auto mgr = MustOpenManager(&fs, log.get(), mopts);
-    PartitionedTPStream engine(spec, {}, nullptr);
+    TPStreamOperator engine(spec, {}, nullptr);
     auto report = mgr->Recover(engine);
     ASSERT_TRUE(report.ok()) << "cut@" << cut;
     ASSERT_EQ(report.value().generation, 2u) << "cut@" << cut;
@@ -364,7 +363,7 @@ TEST(LogChaos, FiveRoundKillRecoverAppendLoopStaysByteIdentical) {
   std::vector<Event> ref_outputs;
   ckpt::Writer ref_w;
   {
-    PartitionedTPStream ref(spec, {},
+    TPStreamOperator ref(spec, {},
                             [&](const Event& e) { ref_outputs.push_back(e); });
     for (const Event& e : events) ref.Push(e);
     ref.Checkpoint(ref_w);
@@ -387,7 +386,7 @@ TEST(LogChaos, FiveRoundKillRecoverAppendLoopStaysByteIdentical) {
   for (int round = 0; round < 5; ++round) {
     auto log = MustOpenLog(&fs, lopts);
     auto mgr = MustOpenManager(&fs, log.get(), mopts);
-    PartitionedTPStream engine(spec, {},
+    TPStreamOperator engine(spec, {},
                                [&](const Event& e) { outputs.push_back(e); });
     auto report = mgr->Recover(engine);
     ASSERT_TRUE(report.ok()) << "round " << round;
@@ -405,7 +404,7 @@ TEST(LogChaos, FiveRoundKillRecoverAppendLoopStaysByteIdentical) {
   // Final incarnation: recover and verify the end state.
   auto log = MustOpenLog(&fs, lopts);
   auto mgr = MustOpenManager(&fs, log.get(), mopts);
-  PartitionedTPStream engine(spec, {},
+  TPStreamOperator engine(spec, {},
                              [&](const Event& e) { outputs.push_back(e); });
   auto report = mgr->Recover(engine);
   ASSERT_TRUE(report.ok());

@@ -1,5 +1,5 @@
 // Differential test for the observability subsystem: the same keyed
-// workload runs through the sequential PartitionedTPStream (one shared
+// workload runs through the sequential TPStreamOperator (one shared
 // registry) and through ParallelTPStream (per-worker registries merged on
 // read). Every per-component counter and the detection-latency histogram
 // must agree exactly — partitions are evaluated independently, so the
@@ -17,7 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"
@@ -86,7 +86,7 @@ TEST(MetricsDifferentialTest, SequentialAndParallelCountersAgree) {
   {
     TPStreamOperator::Options options;
     options.metrics = &sequential_registry;
-    PartitionedTPStream op(spec, options,
+    TPStreamOperator op(spec, options,
                            [&](const Event&) { ++sequential_matches; });
     for (const Event& e : events) op.Push(e);
   }
@@ -173,7 +173,7 @@ TEST(MetricsDifferentialTest, SequentialAndParallelCountersAgree) {
 // drains them at batch boundaries under the output mutex. Because a
 // partition lives on exactly one worker and drains preserve the engine's
 // emission order, the *sequence* of matches within each partition must
-// equal the sequential PartitionedTPStream's — not just the multiset.
+// equal the sequential TPStreamOperator's — not just the multiset.
 // Match-heavy on purpose: many matches per batch exercise the buffered
 // drain, several workers interleave their drains.
 TEST(MetricsDifferentialTest, ShardedOutputPreservesPerPartitionOrder) {
@@ -201,7 +201,7 @@ TEST(MetricsDifferentialTest, ShardedOutputPreservesPerPartitionOrder) {
       std::map<int64_t, std::vector<std::pair<TimePoint, int64_t>>>;
   KeyedSequences sequential;
   {
-    PartitionedTPStream op(spec, {}, [&](const Event& e) {
+    TPStreamOperator op(spec, {}, [&](const Event& e) {
       sequential[e.payload[0].AsInt()].emplace_back(e.t,
                                                     e.payload[1].AsInt());
     });
@@ -244,7 +244,7 @@ TEST(MetricsDifferentialTest, ParallelPartitionCountersMatchSequential) {
   obs::MetricsRegistry sequential_registry;
   TPStreamOperator::Options seq_options;
   seq_options.metrics = &sequential_registry;
-  PartitionedTPStream sequential(spec, seq_options, nullptr);
+  TPStreamOperator sequential(spec, seq_options, nullptr);
   for (const Event& e : events) sequential.Push(e);
   EXPECT_EQ(sequential_registry.Snapshot().gauges.at(
                 "partitioned.partitions"),

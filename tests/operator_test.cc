@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/partitioned_operator.h"
 #include "query/builder.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
@@ -149,7 +148,7 @@ TEST(PartitionedOperatorTest, IndependentPerKeyEvaluation) {
   ASSERT_TRUE(spec.ok());
 
   std::vector<Event> outputs;
-  PartitionedTPStream op(spec.value(), {}, [&](const Event& e) {
+  TPStreamOperator op(spec.value(), {}, [&](const Event& e) {
     outputs.push_back(e);
   });
 

@@ -52,7 +52,7 @@ TEST(ParallelTPStreamTest, MatchesSequentialResults) {
 
   Signature sequential;
   {
-    PartitionedTPStream op(spec, {}, [&](const Event& e) {
+    TPStreamOperator op(spec, {}, [&](const Event& e) {
       sequential.emplace_back(e.t, e.payload[0].AsInt());
     });
     for (const Event& e : events) op.Push(e);

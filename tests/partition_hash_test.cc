@@ -5,7 +5,7 @@
 // lands on the same worker. A differential run with a double partition
 // key checks end-to-end routing against the sequential reference.
 //
-// The same counting allocator pins PartitionedTPStream's own routing:
+// The same counting allocator pins TPStreamOperator's own routing:
 // pushing to an existing key allocates nothing, and a new key costs its
 // stream state only (the query program and its initial plan are built
 // once per engine), over Push and over PushBatch with compiled predicates.
@@ -27,7 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/detection.h"
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"
@@ -125,7 +125,7 @@ TEST(ValueHashTest, DoubleKeyedPartitioningIsStableAndMatchesSequential) {
 
   Signature sequential;
   {
-    PartitionedTPStream op(spec, {}, [&](const Event& e) {
+    TPStreamOperator op(spec, {}, [&](const Event& e) {
       sequential.emplace_back(e.t, e.payload[0].AsDouble());
     });
     for (const Event& e : events) op.Push(e);
@@ -186,7 +186,7 @@ TEST(PartitionRoutingTest, PushToExistingKeysIsAllocationFree) {
       SCOPED_TRACE(batched ? "PushBatch" : "Push");
       TPStreamOperator::Options options;
       ASSERT_TRUE(options.compiled_predicates);
-      PartitionedTPStream op(QuietSpec(type), options, nullptr);
+      TPStreamOperator op(QuietSpec(type), options, nullptr);
       // Every batch mixes all keys, two rounds of them. The first one
       // creates the keys and sizes the routing scratch and the columnar
       // batch.
@@ -253,7 +253,7 @@ TEST(PartitionRoutingTest, NewKeyCostsStreamStateOnly) {
   std::vector<Event> events;
   for (int k = 0; k <= kKeys; ++k) events.push_back(QuietHostEvent(k, 1 + k));
   {
-    PartitionedTPStream op(FiveRuleSpec(), {}, nullptr);
+    TPStreamOperator op(FiveRuleSpec(), {}, nullptr);
     op.Push(events[0]);
     const size_t before = g_allocated_bytes.load(std::memory_order_relaxed);
     for (int k = 1; k <= kKeys; ++k) op.Push(events[k]);
@@ -267,7 +267,7 @@ TEST(PartitionRoutingTest, NewKeyCostsStreamStateOnly) {
   obs::MetricsRegistry registry;
   TPStreamOperator::Options options;
   options.metrics = &registry;
-  PartitionedTPStream op(FiveRuleSpec(), options, nullptr);
+  TPStreamOperator op(FiveRuleSpec(), options, nullptr);
   for (int k = 1; k <= kKeys; ++k) op.Push(events[k]);
   EXPECT_EQ(registry.GetCounter("optimizer.reoptimizations")->value(), 1);
 }
@@ -314,7 +314,7 @@ TEST(AlertPathTest, MetricsOnAddsNoAllocationPerAlert) {
     TPStreamOperator::Options options;
     options.metrics = metrics;
     Run r;
-    PartitionedTPStream op(spec.value(), options,
+    TPStreamOperator op(spec.value(), options,
                            [&r](const Event&) { ++r.alerts; });
     const size_t warm = events.size() / 2;
     for (size_t i = 0; i < warm; ++i) op.Push(events[i]);

@@ -1,6 +1,6 @@
 // Batch-at-a-time PARTITION BY against the interpreter oracle.
 //
-// PartitionedTPStream::PushBatch evaluates the DEFINE predicates once per
+// TPStreamOperator::PushBatch evaluates the DEFINE predicates once per
 // mixed-key batch, with the compiled columnar executor by default, and
 // then walks the batch key by key. The oracle is the same engine on the
 // tree interpreter (`compiled_predicates = false`), fed one Push() per
@@ -23,7 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "ckpt/serde.h"
-#include "core/partitioned_operator.h"
+#include "core/operator.h"
 #include "multi/query_group.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
@@ -91,13 +91,13 @@ std::vector<Event> Stream(ValueType key_type, TimePoint horizon,
   return events;
 }
 
-std::string Full(const PartitionedTPStream& op) {
+std::string Full(const TPStreamOperator& op) {
   ckpt::Writer w;
   op.Checkpoint(w);
   return w.Take();
 }
 
-std::string Delta(const PartitionedTPStream& op) {
+std::string Delta(const TPStreamOperator& op) {
   ckpt::Writer w;
   op.CheckpointIncremental(w);
   return w.Take();
@@ -123,8 +123,8 @@ struct Side {
     engine = Make();
   }
 
-  std::unique_ptr<PartitionedTPStream> Make() {
-    return std::make_unique<PartitionedTPStream>(
+  std::unique_ptr<TPStreamOperator> Make() {
+    return std::make_unique<TPStreamOperator>(
         spec, options, [this](const Event& e) { alerts.push_back(e); });
   }
 
@@ -162,7 +162,7 @@ struct Side {
   TPStreamOperator::Options options;
   obs::MetricsRegistry metrics;
   std::vector<Event> alerts;
-  std::unique_ptr<PartitionedTPStream> engine;
+  std::unique_ptr<TPStreamOperator> engine;
   std::string base;
 };
 

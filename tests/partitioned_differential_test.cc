@@ -1,7 +1,8 @@
-// PARTITION BY differential: PartitionedTPStream keeps per-key stream
-// state over one shared query program, and must behave exactly like the
-// obvious implementation it replaced — one standalone TPStreamOperator
-// per key, created on the key's first event. Randomized key churn (int
+// PARTITION BY differential: TPStreamOperator, given a PARTITION BY
+// query, keeps per-key stream state over one shared query program, and
+// must behave exactly like the obvious implementation — one standalone
+// unpartitioned TPStreamOperator per key, created on the key's first
+// event. Randomized key churn (int
 // and string keys, both matcher modes) with a re-optimization threshold
 // low enough that keys migrate plans independently; Reset(), a full
 // checkpoint + restore and a delta checkpoint + restore happen
@@ -24,7 +25,6 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "query/parser.h"
 
 namespace tpstream {
@@ -74,17 +74,22 @@ std::vector<Event> ChurnStream(ValueType key_type, TimePoint horizon,
   return events;
 }
 
-/// The oracle: one TPStreamOperator per key, keyed like the engine
-/// (int keys by value, every other type by Value::ToString()).
+/// The oracle: one unpartitioned TPStreamOperator per key, keyed like
+/// the engine (int keys by value, every other type by Value::ToString()).
 class OperatorPerKey {
  public:
   OperatorPerKey(const QuerySpec& spec, TPStreamOperator::Options options,
                  std::vector<Event>* out)
-      : spec_(spec), options_(options), out_(out) {}
+      : partition_field_(spec.partition_field),
+        key_spec_(spec),
+        options_(options),
+        out_(out) {
+    key_spec_.partition_field = -1;
+  }
 
   void Push(const Event& e) {
     ++num_events_;
-    const Value& key = e.payload[spec_.partition_field];
+    const Value& key = e.payload[partition_field_];
     if (key.type() == ValueType::kInt) {
       Slot(&ints_, key.AsInt()).Push(e);
       dirty_ints_.insert(key.AsInt());
@@ -128,7 +133,7 @@ class OperatorPerKey {
     auto& op = (*m)[key];
     if (op == nullptr) {
       op = std::make_unique<TPStreamOperator>(
-          spec_, options_, [this](const Event& e) {
+          key_spec_, options_, [this](const Event& e) {
             ++num_matches_;
             out_->push_back(e);
           });
@@ -156,7 +161,8 @@ class OperatorPerKey {
     return w.Take();
   }
 
-  const QuerySpec& spec_;
+  const int partition_field_;
+  QuerySpec key_spec_;  // the query without PARTITION BY
   TPStreamOperator::Options options_;
   std::vector<Event>* out_;
   std::map<int64_t, std::unique_ptr<TPStreamOperator>> ints_;
@@ -167,13 +173,13 @@ class OperatorPerKey {
   int64_t num_matches_ = 0;
 };
 
-std::string FullCheckpoint(const PartitionedTPStream& op) {
+std::string FullCheckpoint(const TPStreamOperator& op) {
   ckpt::Writer w;
   op.Checkpoint(w);
   return w.Take();
 }
 
-std::string DeltaCheckpoint(const PartitionedTPStream& op) {
+std::string DeltaCheckpoint(const TPStreamOperator& op) {
   ckpt::Writer w;
   op.CheckpointIncremental(w);
   return w.Take();
@@ -220,10 +226,10 @@ TEST_P(PartitionedDifferential, MatchesOperatorPerKeyOracle) {
   std::vector<Event> want, got;
   OperatorPerKey oracle(spec, options, &want);
   auto make = [&] {
-    return std::make_unique<PartitionedTPStream>(
+    return std::make_unique<TPStreamOperator>(
         spec, options, [&got](const Event& e) { got.push_back(e); });
   };
-  std::unique_ptr<PartitionedTPStream> engine = make();
+  std::unique_ptr<TPStreamOperator> engine = make();
   uint64_t hash = 1469598103934665603ull;
   auto check = [&](const std::string& mine, const std::string& theirs,
                    const char* what) {

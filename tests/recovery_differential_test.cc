@@ -20,7 +20,6 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "log/event_log.h"
 #include "log/memfs.h"
 #include "log/recovery.h"
@@ -210,12 +209,12 @@ TEST_P(RecoveryDifferential, Partitioned) {
   const QuerySpec spec = SensorSpec(/*partitioned=*/true);
   log::RecoveryManager::Options mopts;
   mopts.full_snapshot_interval = 2;  // every other checkpoint is a delta
-  RunRecoveryDifferential<PartitionedTPStream>(
+  RunRecoveryDifferential<TPStreamOperator>(
       [&] {
-        return std::make_unique<PartitionedTPStream>(
+        return std::make_unique<TPStreamOperator>(
             spec, TPStreamOperator::Options{}, nullptr);
       },
-      [](PartitionedTPStream&) {}, MakeStream(kStreamLen, 52, /*keys=*/7),
+      [](TPStreamOperator&) {}, MakeStream(kStreamLen, 52, /*keys=*/7),
       GetParam(), mopts);
 }
 

@@ -15,7 +15,6 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "log/event_log.h"
 #include "log/memfs.h"
 #include "log/recovery.h"
@@ -243,7 +242,7 @@ TEST(RecoveryManager, IncrementalCadenceAndByteIdenticalRestore) {
 
   ckpt::Writer ref_final;
   {
-    PartitionedTPStream ref(spec, {}, nullptr);
+    TPStreamOperator ref(spec, {}, nullptr);
     for (const Event& e : events) ref.Push(e);
     ref.Checkpoint(ref_final);
   }
@@ -256,7 +255,7 @@ TEST(RecoveryManager, IncrementalCadenceAndByteIdenticalRestore) {
   {
     auto log = MustOpenLog(&fs, kLogDir);
     auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-    PartitionedTPStream first(spec, {}, nullptr);
+    TPStreamOperator first(spec, {}, nullptr);
     for (size_t i = 0; i < 350; ++i) {
       Feed(*log, first, events[i]);
       if ((i + 1) % 25 == 0) {
@@ -280,7 +279,7 @@ TEST(RecoveryManager, IncrementalCadenceAndByteIdenticalRestore) {
 
   auto log = MustOpenLog(&fs, kLogDir);
   auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-  PartitionedTPStream second(spec, {}, nullptr);
+  TPStreamOperator second(spec, {}, nullptr);
   auto report = mgr->Recover(second);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report.value().restored);
@@ -305,7 +304,7 @@ TEST(RecoveryManager, MissingDeltaDegradesToValidPrefix) {
   {
     auto log = MustOpenLog(&fs, kLogDir);
     auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-    PartitionedTPStream first(spec, {}, nullptr);
+    TPStreamOperator first(spec, {}, nullptr);
     for (size_t i = 0; i < events.size(); ++i) {
       Feed(*log, first, events[i]);
       if ((i + 1) % 50 == 0) ASSERT_TRUE(mgr->Checkpoint(first).ok());
@@ -320,7 +319,7 @@ TEST(RecoveryManager, MissingDeltaDegradesToValidPrefix) {
   options.dead_letter = &dead;
   auto log = MustOpenLog(&fs, kLogDir);
   auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-  PartitionedTPStream second(spec, {}, nullptr);
+  TPStreamOperator second(spec, {}, nullptr);
   auto report = mgr->Recover(second);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report.value().restored);
@@ -332,7 +331,7 @@ TEST(RecoveryManager, MissingDeltaDegradesToValidPrefix) {
 
   ckpt::Writer a, b;
   second.Checkpoint(a);
-  PartitionedTPStream ref(spec, {}, nullptr);
+  TPStreamOperator ref(spec, {}, nullptr);
   for (const Event& e : events) ref.Push(e);
   ref.Checkpoint(b);
   EXPECT_EQ(a.buffer(), b.buffer());
@@ -347,7 +346,7 @@ TEST(RecoveryManager, PruningKeepsPreviousFullAsFallback) {
   options.full_snapshot_interval = 3;
   auto log = MustOpenLog(&fs, kLogDir);
   auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-  PartitionedTPStream engine(spec, {}, nullptr);
+  TPStreamOperator engine(spec, {}, nullptr);
   for (size_t i = 0; i < events.size(); ++i) {
     Feed(*log, engine, events[i]);
     if ((i + 1) % 40 == 0) ASSERT_TRUE(mgr->Checkpoint(engine).ok());
@@ -369,7 +368,7 @@ TEST(RecoveryManager, PruningKeepsPreviousFullAsFallback) {
   fs.CorruptByte("/wal/ckpt/ckpt-00000000000000000010-full.tpc", 80, 0x08);
   auto log2 = MustOpenLog(&fs, kLogDir);
   auto mgr2 = MustOpenManager(&fs, kCkptDir, log2.get(), options);
-  PartitionedTPStream second(spec, {}, nullptr);
+  TPStreamOperator second(spec, {}, nullptr);
   auto report = mgr2->Recover(second);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().restored);
@@ -396,7 +395,7 @@ TEST(RecoveryManager, FallbackRecoveryForcesFullNextCheckpoint) {
   {
     auto log = MustOpenLog(&fs, kLogDir);
     auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-    PartitionedTPStream first(spec, {}, nullptr);
+    TPStreamOperator first(spec, {}, nullptr);
     for (size_t i = 0; i < 150; ++i) {
       Feed(*log, first, events[i]);
       if ((i + 1) % 50 == 0) ASSERT_TRUE(mgr->Checkpoint(first).ok());
@@ -407,7 +406,7 @@ TEST(RecoveryManager, FallbackRecoveryForcesFullNextCheckpoint) {
 
   auto log = MustOpenLog(&fs, kLogDir);
   auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-  PartitionedTPStream second(spec, {}, nullptr);
+  TPStreamOperator second(spec, {}, nullptr);
   auto report = mgr->Recover(second);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().generation, 2u);  // fell back past gen 3
@@ -430,7 +429,7 @@ TEST(RecoveryManager, FallbackRecoveryForcesFullNextCheckpoint) {
   options.dead_letter = &dead;
   auto log2 = MustOpenLog(&fs, kLogDir);
   auto mgr2 = MustOpenManager(&fs, kCkptDir, log2.get(), options);
-  PartitionedTPStream third(spec, {}, nullptr);
+  TPStreamOperator third(spec, {}, nullptr);
   auto report2 = mgr2->Recover(third);
   ASSERT_TRUE(report2.ok()) << report2.status().ToString();
   EXPECT_EQ(report2.value().generation, 5u);
@@ -441,7 +440,7 @@ TEST(RecoveryManager, FallbackRecoveryForcesFullNextCheckpoint) {
   for (size_t i = 250; i < events.size(); ++i) Feed(*log2, third, events[i]);
   ckpt::Writer a, b;
   third.Checkpoint(a);
-  PartitionedTPStream ref(spec, {}, nullptr);
+  TPStreamOperator ref(spec, {}, nullptr);
   for (const Event& e : events) ref.Push(e);
   ref.Checkpoint(b);
   EXPECT_EQ(a.buffer(), b.buffer());
@@ -456,7 +455,7 @@ TEST(RecoveryManager, DiskFullCheckpointFailsCleanAndForcesFullNext) {
   options.full_snapshot_interval = 8;
   auto log = MustOpenLog(&fs, kLogDir);
   auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-  PartitionedTPStream engine(spec, {}, nullptr);
+  TPStreamOperator engine(spec, {}, nullptr);
   for (size_t i = 0; i < 100; ++i) Feed(*log, engine, events[i]);
   ASSERT_TRUE(mgr->Checkpoint(engine).ok());  // gen 1, full
   for (size_t i = 100; i < 150; ++i) Feed(*log, engine, events[i]);
@@ -485,7 +484,7 @@ TEST(RecoveryManager, DiskFullCheckpointFailsCleanAndForcesFullNext) {
   // And nothing was lost: recovery lands on the new full.
   auto log2 = MustOpenLog(&fs, kLogDir);
   auto mgr2 = MustOpenManager(&fs, kCkptDir, log2.get(), options);
-  PartitionedTPStream second(spec, {}, nullptr);
+  TPStreamOperator second(spec, {}, nullptr);
   auto report = mgr2->Recover(second);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().generation, 3u);
@@ -507,7 +506,7 @@ TEST(RecoveryManager, ChainSurvivesManagerRestartBetweenCheckpoints) {
   log::RecoveryManager::Options options;
   options.full_snapshot_interval = 8;
   auto log = MustOpenLog(&fs, kLogDir);
-  PartitionedTPStream engine(spec, {}, nullptr);
+  TPStreamOperator engine(spec, {}, nullptr);
   {
     auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
     for (size_t i = 0; i < 100; ++i) Feed(*log, engine, events[i]);
@@ -599,7 +598,7 @@ TEST(RecoveryManager, PublishesRecoveryMetrics) {
   {
     auto log = MustOpenLog(&fs, kLogDir);
     auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-    PartitionedTPStream engine(spec, {}, nullptr);
+    TPStreamOperator engine(spec, {}, nullptr);
     for (size_t i = 0; i < events.size(); ++i) {
       Feed(*log, engine, events[i]);
       if ((i + 1) % 50 == 0) ASSERT_TRUE(mgr->Checkpoint(engine).ok());
@@ -612,7 +611,7 @@ TEST(RecoveryManager, PublishesRecoveryMetrics) {
 
   auto log = MustOpenLog(&fs, kLogDir);
   auto mgr = MustOpenManager(&fs, kCkptDir, log.get(), options);
-  PartitionedTPStream second(spec, {}, nullptr);
+  TPStreamOperator second(spec, {}, nullptr);
   ASSERT_TRUE(mgr->Recover(second).ok());
   EXPECT_EQ(metrics.GetCounter("recovery.recoveries")->value(), 1);
   EXPECT_EQ(metrics.GetCounter("recovery.replayed_events")->value(), 0);

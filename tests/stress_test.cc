@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/operator.h"
-#include "core/partitioned_operator.h"
 #include "query/builder.h"
 #include "query/parser.h"
 
@@ -106,7 +105,7 @@ TEST(StressTest, ManyPartitionsStayIndependent) {
   auto spec = qb.Build();
   ASSERT_TRUE(spec.ok());
 
-  PartitionedTPStream op(spec.value(), {}, nullptr);
+  TPStreamOperator op(spec.value(), {}, nullptr);
   std::mt19937_64 rng(5);
   constexpr int kKeys = 500;
   std::vector<bool> value(kKeys, false);
