@@ -1,7 +1,8 @@
 // Multi-query scaling benchmark backing BENCH_multiquery.json: N standing
-// queries over one stream, executed shared (one QueryGroup: deduplicated
-// situation derivation, fan-out only on situation boundaries) versus
-// unshared (N independent TPStreamOperators, each deriving every event).
+// queries over one stream, executed shared (one multi-query
+// TPStreamOperator: deduplicated situation derivation, fan-out only on
+// situation boundaries) versus unshared (N independent TPStreamOperators,
+// each deriving every event).
 // Sweeps N in {1, 100} for identical and distinct query mixes, plus
 // N = 10000 identical where the shared engine is measured and the
 // unshared side is extrapolated from the N = 100 run (unshared cost per
@@ -29,7 +30,6 @@
 
 #include "bench/bench_util.h"
 #include "core/operator.h"
-#include "multi/query_group.h"
 #include "query/builder.h"
 
 namespace tpstream {
@@ -123,22 +123,24 @@ struct RunResult {
 RunResult RunShared(const std::string& name,
                     const std::vector<double>& thresholds,
                     const std::vector<Event>& events) {
-  multi::QueryGroup group;
   std::vector<int64_t> matches(thresholds.size(), 0);
+  std::vector<TPStreamOperator::Query> queries;
   for (size_t i = 0; i < thresholds.size(); ++i) {
-    auto id = group.AddQuery(MakeSpec(thresholds[i]),
-                             [&matches, i](const Event&) { ++matches[i]; });
-    if (!id.ok()) {
-      std::fprintf(stderr, "AddQuery failed: %s\n",
-                   id.status().ToString().c_str());
-      std::exit(1);
-    }
+    queries.push_back({MakeSpec(thresholds[i]),
+                       [&matches, i](const Event&) { ++matches[i]; }});
   }
-  group.Seal();  // keep construction out of the measured window
+  // Construction stays out of the measured window.
+  auto shared = TPStreamOperator::Create(std::move(queries), {});
+  if (!shared.ok()) {
+    std::fprintf(stderr, "Create failed: %s\n",
+                 shared.status().ToString().c_str());
+    std::exit(1);
+  }
+  TPStreamOperator& op = *shared.value();
 
   const int64_t start = NowNs();
-  for (const Event& e : events) group.Push(e);
-  group.Flush();
+  for (const Event& e : events) op.Push(e);
+  op.Flush();
   const int64_t elapsed = NowNs() - start;
 
   RunResult r;
@@ -148,7 +150,7 @@ RunResult RunShared(const std::string& name,
   r.elapsed_s = static_cast<double>(elapsed) * 1e-9;
   r.events_per_sec = static_cast<double>(events.size()) / r.elapsed_s;
   r.matches_q0 = matches[0];
-  r.distinct_definitions = group.num_distinct_definitions();
+  r.distinct_definitions = op.num_distinct_definitions();
   // Guard the measured path: every identical query must agree with
   // query 0 (the differential tests pin the stronger guarantee).
   for (size_t i = 1; i < thresholds.size(); ++i) {

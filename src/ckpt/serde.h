@@ -50,15 +50,15 @@ enum class Tag : uint32_t {
   kMatchEngine = 9,
   kOperator = 10,
   kPartitioned = 11,
-  kQueryGroup = 12,
+  // 12 is retired and never reused (the former multi-query layout; a
+  // multi-query TPStreamOperator writes kOperator sections).
   kReorderBuffer = 13,
   kParallel = 14,
   // 15 and 16 are retired and never reused.
   /// Dirty-partition delta of a PARTITION BY TPStreamOperator
   /// (incremental checkpoints; full snapshots keep kPartitioned).
   kPartitionedDelta = 17,
-  /// Dirty-engine delta for multi::QueryGroup.
-  kQueryGroupDelta = 18,
+  // 18 is retired and never reused (the former multi-query delta).
 };
 
 /// Append-only binary writer. Infallible: it grows an in-memory byte

@@ -24,10 +24,10 @@ namespace tpstream {
 /// The post-derivation half of one TPStream query: matchers, adaptive
 /// controller, RETURN projection and the per-query observability handles.
 ///
-/// Extracted from TPStreamOperator so that the multi-query engine
-/// (multi::QueryGroup) can run one shared Deriver and fan its situation
-/// updates out to many engines, while every engine executes exactly the
-/// code a standalone operator would — the differential tests pin the two
+/// Separate from the Deriver so that a multi-query TPStreamOperator can
+/// run one shared Deriver and fan its situation updates out to one engine
+/// per query, while every engine executes exactly the code a
+/// single-query operator would — the differential tests pin the two
 /// deployments to byte-identical matches and metrics.
 ///
 /// The engine does not own the deriver: `deriver` and `spec` must outlive
@@ -64,7 +64,8 @@ class MatchEngine {
 
   class Program;
 
-  /// An engine with a private program.
+  /// An engine with a private program (the operator builds shared ones;
+  /// the per-layer timing pass of e2ebench uses this).
   MatchEngine(const QuerySpec* spec, const Deriver* deriver,
               std::vector<int> deriver_slots, Options options,
               OutputCallback output);
@@ -78,9 +79,10 @@ class MatchEngine {
   MatchEngine& operator=(const MatchEngine&) = delete;
 
   /// Advances the input-event count by `n` without matching work. A
-  /// standalone operator calls NoteEvents(1) per event; a QueryGroup
-  /// advances lazily (just before a Consume and at Flush), so per-query
-  /// counts are exact at every point an engine acts and at quiescence.
+  /// single-query operator calls NoteEvents(1) per event; a multi-query
+  /// one advances lazily (just before a Consume, a Flush or a
+  /// checkpoint), so per-query counts are exact at every point an engine
+  /// acts and at quiescence.
   void NoteEvents(int64_t n);
 
   /// Processes one deriver step for this query: feeds the matchers (the
@@ -106,7 +108,7 @@ class MatchEngine {
   /// Serializes all stream-derived engine state: logical event/match
   /// counts, the active matcher and the adaptive controller. Part of an
   /// enclosing checkpoint; the event-log offset lives in the surface
-  /// envelope (TPStreamOperator, QueryGroup).
+  /// envelope (TPStreamOperator).
   void Checkpoint(ckpt::Writer& w) const;
 
   /// Restores a checkpoint taken on an engine with the same configuration

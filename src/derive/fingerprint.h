@@ -13,7 +13,8 @@ namespace tpstream {
 /// aggregate; output names are labels, not semantics) and the duration
 /// constraint τ. Two definitions with equal fingerprints derive
 /// byte-identical situation streams from any input event stream — the
-/// sharing criterion of multi::QueryGroup. The symbol name is excluded:
+/// sharing criterion of a multi-query TPStreamOperator, which derives
+/// each fingerprint once per event. The symbol name is excluded:
 /// it only binds the definition to a pattern position within one query.
 std::string DefinitionFingerprint(const SituationDefinition& def);
 

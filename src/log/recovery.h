@@ -34,10 +34,9 @@ concept Recoverable =
     };
 
 /// The one engine contract (docs/architecture.md, "Engine contract") of
-/// TPStreamOperator, parallel::ParallelTPStream and multi::QueryGroup:
-/// per-event and batched ingestion, an idempotent Flush, Reset to a fresh
-/// stream, and a checkpoint stamped with the event-log offset that
-/// Restore brings back.
+/// TPStreamOperator and parallel::ParallelTPStream: per-event and
+/// batched ingestion, an idempotent Flush, Reset to a fresh stream, and a
+/// checkpoint stamped with the event-log offset that Restore brings back.
 template <typename E>
 concept Engine = Recoverable<E> &&
     requires(E& e, std::span<const Event> batch, ckpt::Writer& w) {
@@ -95,10 +94,10 @@ struct RecoveryReport {
 ///                           replay mode (exactly-once dead-letter)
 ///
 /// Incremental checkpoints: for engines exposing the incremental surface
-/// (TPStreamOperator, multi::QueryGroup), every K-th generation is a
-/// full snapshot and the ones between are dirty-set deltas — while the
-/// engine reports CanCheckpointIncremental() (never for an unpartitioned
-/// TPStreamOperator, which writes full snapshots only). Each file
+/// (TPStreamOperator), every K-th generation is a full snapshot and the
+/// ones between are dirty-set deltas — while the engine reports
+/// CanCheckpointIncremental(), which only PARTITION BY queries do (an
+/// unpartitioned TPStreamOperator writes full snapshots only). Each file
 /// records its base generation and a CRC-32C *chain hash*
 /// (h_full = crc(blob); h_g = crc_extend(h_{g-1}, blob_g)), so Recover
 /// applies a delta only when its declared base matches the running chain

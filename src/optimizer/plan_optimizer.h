@@ -119,11 +119,12 @@ class AdaptiveController {
     /// the live EMAs from the estimates the current plan was built on —
     /// i.e. estimated-vs-actual statistics).
     obs::MetricsRegistry* metrics = nullptr;
-    /// Optional cross-query plan memo (multi::QueryGroup). BestOrder is
-    /// deterministic in (pattern, seed mode, stats), so a cache hit
-    /// returns exactly the order the local optimizer would compute; the
-    /// cache only skips the subset-DP, it never changes plans. Must
-    /// outlive the controller; not synchronized (single-threaded use).
+    /// Optional cross-query plan memo (the queries of a multi-query
+    /// TPStreamOperator). BestOrder is deterministic in (pattern, seed
+    /// mode, stats), so a cache hit returns exactly the order the local
+    /// optimizer would compute; the cache only skips the subset-DP, it
+    /// never changes plans. Must outlive the controller; not
+    /// synchronized (single-threaded use).
     SharedPlanCache* plan_cache = nullptr;
   };
 

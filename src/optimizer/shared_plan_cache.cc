@@ -28,6 +28,7 @@ const std::vector<int>& SharedPlanCache::GetOrCompute(
     return it->second;
   }
   ++misses_;
+  if (cache_.size() >= kMaxEntries) cache_.clear();
   return cache_.emplace(key, compute()).first->second;
 }
 

@@ -13,10 +13,11 @@
 namespace tpstream {
 
 /// Cross-query memo of PlanOptimizer::BestOrder results, shared by the
-/// engines of one multi::QueryGroup. Thousands of standing queries with
-/// the same pattern shape see the same statistics trajectories, so the
-/// subset-DP — exponential in the symbol count — would otherwise run
-/// once per query for identical inputs.
+/// engines of one multi-query TPStreamOperator (every query, every
+/// PARTITION BY key). Thousands of standing queries with the same pattern
+/// shape see the same statistics trajectories, so the subset-DP —
+/// exponential in the symbol count — would otherwise run once per query
+/// for identical inputs.
 ///
 /// The cache is a pure memo: keys capture *everything* BestOrder depends
 /// on (pattern structure incl. constraint relation masks, the seed mode,
@@ -25,12 +26,17 @@ namespace tpstream {
 /// therefore behave identically to engines that do not — sharing the
 /// memo can never change a plan, only skip recomputing it.
 ///
-/// Not synchronized: a QueryGroup drives all its engines from one thread
-/// (same contract as TPStreamOperator). Each partition/worker of a
-/// parallel deployment gets its own cache.
+/// The memo is bounded: drifting statistics make most keys unique, so it
+/// holds at most kMaxEntries orders and starts over when full. Clearing
+/// only costs future hits, never a different plan.
+///
+/// Not synchronized: the operator drives all its engines from one thread.
 class SharedPlanCache {
  public:
+  static constexpr size_t kMaxEntries = 4096;
+
   /// Returns the order cached under `key`, invoking `compute` on a miss.
+  /// The reference is valid until the next call.
   const std::vector<int>& GetOrCompute(
       const std::string& key,
       const std::function<std::vector<int>()>& compute);

@@ -1,13 +1,14 @@
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/operator.h"
 #include "derive/deriver.h"
 #include "expr/expression.h"
 #include "expr/simd.h"
-#include "multi/query_group.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
 
@@ -15,12 +16,27 @@
 // same structural fingerprint (ExprFingerprint) that the multi-query
 // engine uses to deduplicate definitions. These tests pin both directions
 // of the contract — fingerprint-equal predicates share ONE program,
-// fingerprint-distinct predicates NEVER do — via the deriver/group
+// fingerprint-distinct predicates NEVER do — via the deriver/operator
 // counters and the `deriver.compiled_programs` /
 // `deriver.program_cache_hits` metrics.
 
 namespace tpstream {
 namespace {
+
+/// One operator over `texts` (parsed against `schema`), without outputs.
+std::unique_ptr<TPStreamOperator> Group(const Schema& schema,
+                                        const std::vector<const char*>& texts,
+                                        TPStreamOperator::Options options) {
+  std::vector<TPStreamOperator::Query> queries;
+  for (const char* text : texts) {
+    auto spec = query::ParseQuery(text, schema);
+    EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+    queries.push_back({spec.value(), [](const Event&) {}});
+  }
+  auto op = TPStreamOperator::Create(std::move(queries), std::move(options));
+  EXPECT_TRUE(op.ok()) << op.status().ToString();
+  return std::move(op).value();
+}
 
 Schema TestSchema() {
   return Schema({Field{"x", ValueType::kDouble},
@@ -87,29 +103,14 @@ TEST(BytecodeSharingTest, QueryGroupCompilesEachDistinctPredicateOnce) {
       "PATTERN A before B WITHIN 100";
 
   obs::MetricsRegistry metrics;
-  multi::QueryGroup::Options options;
+  TPStreamOperator::Options options;
   options.compiled_predicates = true;
   options.metrics = &metrics;
-  multi::QueryGroup group(options);
-
   // 3 copies of query A and 2 of query B: 10 definitions total, 3
   // distinct predicates (x > 10.0 appears in both query texts).
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(group
-                    .AddQuery(query::ParseQuery(kQueryA, schema).value(),
-                              [](const Event&) {})
-                    .ok());
-  }
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(group
-                    .AddQuery(query::ParseQuery(kQueryB, schema).value(),
-                              [](const Event&) {})
-                    .ok());
-  }
-
-  // Before sealing nothing is compiled.
-  EXPECT_EQ(group.num_compiled_programs(), 0);
-  group.Seal();
+  auto op =
+      Group(schema, {kQueryA, kQueryA, kQueryA, kQueryB, kQueryB}, options);
+  TPStreamOperator& group = *op;
 
   EXPECT_EQ(group.total_definitions(), 10);
   EXPECT_EQ(group.num_distinct_definitions(), 3);
@@ -127,31 +128,17 @@ TEST(BytecodeSharingTest, QueryGroupSharesAcrossDurationVariants) {
   // compiled program (the program key is the predicate fingerprint only).
   const Schema schema = TestSchema();
   obs::MetricsRegistry metrics;
-  multi::QueryGroup::Options options;
+  TPStreamOperator::Options options;
   options.compiled_predicates = true;
   options.metrics = &metrics;
-  multi::QueryGroup group(options);
-
-  ASSERT_TRUE(
-      group
-          .AddQuery(query::ParseQuery(
-                        "FROM S DEFINE A AS x > 10.0, B AS y < 5.0 "
-                        "PATTERN A overlaps B WITHIN 100",
-                        schema)
-                        .value(),
-                    [](const Event&) {})
-          .ok());
-  ASSERT_TRUE(
-      group
-          .AddQuery(query::ParseQuery(
-                        "FROM S DEFINE A AS x > 10.0 AT LEAST 5s, "
-                        "B AS y < 5.0 AT LEAST 3s "
-                        "PATTERN A overlaps B WITHIN 100",
-                        schema)
-                        .value(),
-                    [](const Event&) {})
-          .ok());
-  group.Seal();
+  auto op = Group(schema,
+                  {"FROM S DEFINE A AS x > 10.0, B AS y < 5.0 "
+                   "PATTERN A overlaps B WITHIN 100",
+                   "FROM S DEFINE A AS x > 10.0 AT LEAST 5s, "
+                   "B AS y < 5.0 AT LEAST 3s "
+                   "PATTERN A overlaps B WITHIN 100"},
+                  options);
+  TPStreamOperator& group = *op;
 
   EXPECT_EQ(group.num_distinct_definitions(), 4);  // tau differs
   EXPECT_EQ(group.num_compiled_programs(), 2);     // phi does not
@@ -170,15 +157,10 @@ TEST(BytecodeSharingTest, SharedProgramsProduceIsolatedIdenticalMatches) {
       "PATTERN A overlaps B WITHIN 200";
 
   auto run = [&](bool compiled) {
-    multi::QueryGroup::Options options;
+    TPStreamOperator::Options options;
     options.compiled_predicates = compiled;
-    multi::QueryGroup group(options);
-    for (int q = 0; q < 3; ++q) {
-      EXPECT_TRUE(group
-                      .AddQuery(query::ParseQuery(kQuery, schema).value(),
-                                [](const Event&) {})
-                      .ok());
-    }
+    auto op = Group(schema, {kQuery, kQuery, kQuery}, options);
+    TPStreamOperator& group = *op;
     std::vector<Event> batch;
     uint64_t s = 7;
     for (TimePoint t = 1; t <= 400; ++t) {

@@ -19,7 +19,6 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "multi/query_group.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"
 #include "tests/reorder_pipeline.h"
@@ -254,63 +253,60 @@ TEST(CheckpointDifferential, QueryGroup) {
     QueryBuilder qb(SensorSchema());
     qb.Define("B", Gt(FieldRef(1, "temp"), Literal(0.45)))
         .Within(40)
-        .Return("n_b", "B", AggKind::kCount);
+        .Return("avg_b", "B", AggKind::kAvg, "temp");
     auto spec = qb.Build();
     EXPECT_TRUE(spec.ok());
     specs.push_back(spec.value());
     return specs;
   };
 
-  const auto build = [&](multi::QueryGroup& group,
-                         std::vector<std::vector<Event>>* sinks) {
+  const auto make = [&](std::vector<std::vector<Event>>* sinks) {
     sinks->resize(2);
+    std::vector<TPStreamOperator::Query> queries;
     int qid = 0;
     for (QuerySpec& spec : make_specs()) {
       auto* sink = &(*sinks)[qid++];
-      ASSERT_TRUE(group
-                      .AddQuery(std::move(spec),
-                                [sink](const Event& e) {
-                                  sink->push_back(e);
-                                })
-                      .ok());
+      queries.push_back(
+          {std::move(spec), [sink](const Event& e) { sink->push_back(e); }});
     }
+    auto group = TPStreamOperator::Create(std::move(queries), {});
+    EXPECT_TRUE(group.ok()) << group.status().ToString();
+    EXPECT_EQ(group.value()->num_distinct_definitions(), 2);  // B is shared
+    return std::move(group).value();
   };
 
   std::vector<std::vector<Event>> ref_outputs;
-  multi::QueryGroup ref;
-  build(ref, &ref_outputs);
-  for (const Event& e : events) ref.Push(e);
+  auto ref = make(&ref_outputs);
+  for (const Event& e : events) ref->Push(e);
   ckpt::Writer ref_final;
-  ref.Checkpoint(ref_final);
+  ref->Checkpoint(ref_final);
 
   for (const size_t kill : kKillOffsets) {
     std::vector<std::vector<Event>> outputs;
     ckpt::Writer w;
     {
-      multi::QueryGroup first;
-      build(first, &outputs);
-      for (size_t i = 0; i < kill; ++i) first.Push(events[i]);
-      first.Checkpoint(w);
+      auto first = make(&outputs);
+      for (size_t i = 0; i < kill; ++i) first->Push(events[i]);
+      first->Checkpoint(w);
     }
-    multi::QueryGroup second;
     std::vector<std::vector<Event>> tail_outputs;
-    build(second, &tail_outputs);
+    auto second = make(&tail_outputs);
     ckpt::Reader r(w.buffer());
     uint64_t offset = 0;
-    ASSERT_TRUE(second.Restore(r, &offset).ok()) << r.status().ToString();
+    ASSERT_TRUE(second->Restore(r, &offset).ok()) << r.status().ToString();
     ASSERT_EQ(offset, kill);
-    for (size_t i = offset; i < events.size(); ++i) second.Push(events[i]);
+    for (size_t i = offset; i < events.size(); ++i) second->Push(events[i]);
 
     for (int q = 0; q < 2; ++q) {
       std::vector<Event> combined = outputs[q];
       combined.insert(combined.end(), tail_outputs[q].begin(),
                       tail_outputs[q].end());
       ExpectSameOutputs(combined, ref_outputs[q]);
-      EXPECT_EQ(second.num_matches(q), ref.num_matches(q));
+      EXPECT_EQ(second->num_matches(q), ref->num_matches(q));
     }
-    EXPECT_EQ(second.num_events(), ref.num_events());
+    EXPECT_EQ(second->num_events(), ref->num_events());
     ckpt::Writer final_ckpt;
-    second.Checkpoint(final_ckpt);
+    second->Checkpoint(final_ckpt);
     EXPECT_EQ(final_ckpt.buffer(), ref_final.buffer());
   }
 }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "ckpt/serde.h"
 #include "core/operator.h"
 #include "matcher/stats.h"
-#include "multi/query_group.h"
 #include "ooo/reorder_buffer.h"
 #include "query/builder.h"
 
@@ -371,27 +371,61 @@ TEST(CkptComponents, OperatorRestoreValidatesMatcherMode) {
   EXPECT_FALSE(non_adaptive_op.Restore(r2).ok());
 }
 
+/// `n` copies of OverlapSpec in one operator, without outputs.
+std::unique_ptr<TPStreamOperator> OverlapCopies(int n) {
+  std::vector<TPStreamOperator::Query> queries(n);
+  for (auto& query : queries) query.spec = OverlapSpec();
+  auto op = TPStreamOperator::Create(std::move(queries), {});
+  EXPECT_TRUE(op.ok()) << op.status().ToString();
+  return std::move(op).value();
+}
+
 TEST(CkptComponents, QueryGroupRestoreValidatesRegisteredQueries) {
-  multi::QueryGroup group;
-  ASSERT_TRUE(group.AddQuery(OverlapSpec(), nullptr).ok());
-  PushEpisode([&](const Event& e) { group.Push(e); }, 0);
+  auto group = OverlapCopies(1);
+  PushEpisode([&](const Event& e) { group->Push(e); }, 0);
   ckpt::Writer w;
-  group.Checkpoint(w);
+  group->Checkpoint(w);
 
-  multi::QueryGroup two;
-  ASSERT_TRUE(two.AddQuery(OverlapSpec(), nullptr).ok());
-  ASSERT_TRUE(two.AddQuery(OverlapSpec(), nullptr).ok());
+  auto two = OverlapCopies(2);
   ckpt::Reader r(w.buffer());
-  EXPECT_FALSE(two.Restore(r).ok());
+  EXPECT_FALSE(two->Restore(r).ok());
 
-  multi::QueryGroup same;
-  ASSERT_TRUE(same.AddQuery(OverlapSpec(), nullptr).ok());
+  auto same = OverlapCopies(1);
   ckpt::Reader r2(w.buffer());
   uint64_t offset = 0;
-  ASSERT_TRUE(same.Restore(r2, &offset).ok());
+  ASSERT_TRUE(same->Restore(r2, &offset).ok());
   EXPECT_EQ(offset, 10u);
-  EXPECT_EQ(same.num_events(), group.num_events());
-  EXPECT_EQ(same.num_matches(0), group.num_matches(0));
+  EXPECT_EQ(same->num_events(), group->num_events());
+  EXPECT_EQ(same->num_matches(0), group->num_matches(0));
+}
+
+// The retired multi-query layout (tag 12: envelope, query and distinct-
+// definition counts, the shared deriver, then each engine) is refused
+// with a Status by the operator that replaced it.
+TEST(CkptComponents, RetiredMultiQueryLayoutIsRejected) {
+  auto source = OverlapCopies(2);
+  PushEpisode([&](const Event& e) { source->Push(e); }, 0);
+  ckpt::Writer current;
+  source->Checkpoint(current);
+
+  ckpt::Writer w;
+  w.Envelope(10);
+  const size_t cookie = w.BeginSection(static_cast<ckpt::Tag>(12));
+  w.U32(2);  // queries
+  w.U32(2);  // distinct definitions
+  Deriver deriver(OverlapSpec().definitions, /*announce_starts=*/true);
+  deriver.Checkpoint(w);
+  w.EndSection(cookie);
+
+  auto target = OverlapCopies(2);
+  ckpt::Reader r(w.buffer());
+  const Status status = target->Restore(r);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  // The operator is still usable after Reset.
+  target->Reset();
+  ckpt::Reader good(current.buffer());
+  EXPECT_TRUE(target->Restore(good).ok());
 }
 
 // ---------------------------------------------------------------------------

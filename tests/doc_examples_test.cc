@@ -1,5 +1,8 @@
 // Guards the documentation against drift: the complete queries shown in
 // docs/query_language.md and README.md must parse and run.
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/operator.h"
@@ -52,6 +55,42 @@ TEST(DocExamplesTest, CommentsAndCaseInsensitivity) {
   const int ab = spec.value().pattern.ConstraintIndex(0, 1);
   ASSERT_GE(ab, 0);
   EXPECT_EQ(spec.value().pattern.constraints()[ab].relations.size(), 2);
+}
+
+// README.md, standing queries: the snippet, with a sink that counts.
+TEST(DocExamplesTest, ReadmeStandingQueries) {
+  const Schema schema({Field{"x", ValueType::kInt}});
+  const std::vector<std::string> standing_queries = {
+      "FROM S DEFINE A AS x > 1, B AS x < 0 PATTERN A before B "
+      "WITHIN 100 RETURN count(A) AS n",
+      "FROM S DEFINE A AS x > 1, C AS x = 0 PATTERN A meets C "
+      "WITHIN 100 RETURN count(A) AS n",
+      "DEFINE nonsense"};
+  std::vector<Event> stream;
+  for (TimePoint t = 1; t <= 40; ++t) {
+    const int64_t x = t % 10 < 4 ? 5 : (t % 10 < 6 ? 0 : -3);
+    stream.push_back(Event({Value(x)}, t));
+  }
+  int64_t matches = 0;
+  int rejected = 0;
+
+  std::vector<TPStreamOperator::Query> queries;
+  for (const std::string& text : standing_queries) {
+    auto spec = query::ParseQuery(text, schema);
+    if (!spec.ok()) { ++rejected; continue; }
+    queries.push_back({std::move(spec).value(),
+                       [&](const Event&) { ++matches; }});
+  }
+  auto op = TPStreamOperator::Create(std::move(queries), {});
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  for (const Event& e : stream) op.value()->Push(e);  // once, for all queries
+  op.value()->Flush();
+
+  EXPECT_EQ(rejected, 1);
+  EXPECT_EQ(op.value()->num_queries(), 2);
+  EXPECT_EQ(op.value()->num_distinct_definitions(), 3);  // A is shared
+  EXPECT_GT(matches, 0);
+  EXPECT_EQ(op.value()->num_matches(0) + op.value()->num_matches(1), matches);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// One conformance suite for the engine contract (log::Engine): the three
-// ingestion surfaces — TPStreamOperator, parallel::ParallelTPStream and
-// multi::QueryGroup — run the same typed cases, each row described by a
-// small traits struct (make, drain, metrics). TPStreamOperator has two
-// rows, one per checkpoint layout: OperatorSurface runs an unpartitioned
-// query (one kOperator section, full snapshots only) and
-// PartitionedSurface a PARTITION BY one (kPartitioned, sorted by key):
+// One conformance suite for the engine contract (log::Engine): the two
+// ingestion surfaces — TPStreamOperator and parallel::ParallelTPStream —
+// run the same typed cases, each row described by a small traits struct
+// (make, drain, metrics). TPStreamOperator has four rows, one per
+// checkpoint layout and query count: OperatorSurface runs an
+// unpartitioned query (one kOperator section, full snapshots only) and
+// PartitionedSurface a PARTITION BY one (kPartitioned, sorted by key);
+// QueryGroupSurface and PartitionedMultiQuerySurface run two queries
+// sharing a definition, unpartitioned and over five keys:
 //
 //  * Flush is an idempotent synchronization point: a no-op on an empty
 //    stream, it publishes gauges and a second Flush changes neither state
@@ -38,7 +40,6 @@
 #include "ckpt/serde.h"
 #include "core/operator.h"
 #include "log/recovery.h"
-#include "multi/query_group.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"
@@ -48,7 +49,6 @@ namespace {
 
 static_assert(log::Engine<TPStreamOperator>);
 static_assert(log::Engine<parallel::ParallelTPStream>);
-static_assert(log::Engine<multi::QueryGroup>);
 
 Schema KeyedSchema() {
   return Schema({Field{"key", ValueType::kInt}, Field{"a", ValueType::kBool},
@@ -70,14 +70,17 @@ QuerySpec OverlapSpec(bool partitioned) {
   return spec.value();
 }
 
-/// Second query of the group: shares definition A with OverlapSpec.
-QuerySpec BeforeSpec() {
+/// Second query of the multi-query rows: shares definition A (predicate
+/// and count aggregate) with OverlapSpec.
+QuerySpec BeforeSpec(bool partitioned) {
   QueryBuilder qb(KeyedSchema());
   qb.Define("A", FieldRef(1, "a"))
       .Define("C", Not(FieldRef(2, "b")))
       .Relate("A", Relation::kBefore, "C")
       .Within(60)
-      .ReturnStart("a_start", "A");
+      .ReturnStart("a_start", "A")
+      .Return("n_a", "A", AggKind::kCount);
+  if (partitioned) qb.PartitionBy("key");
   auto spec = qb.Build();
   EXPECT_TRUE(spec.ok()) << spec.status().ToString();
   return spec.value();
@@ -175,27 +178,29 @@ struct ParallelSurface {
   }
 };
 
-struct QueryGroupSurface {
-  using Engine = multi::QueryGroup;
-  static constexpr int kKeys = 1;
-  static constexpr bool kOrdered = true;
-  static std::unique_ptr<Engine> Make(Collector* out,
-                                      obs::MetricsRegistry* metrics) {
-    Engine::Options options;
+/// The two-query TPStreamOperator rows; the second query stays
+/// uninstrumented.
+template <bool kPartitioned>
+struct MultiQueryRow : OperatorRow<kPartitioned> {
+  static std::unique_ptr<TPStreamOperator> Make(
+      Collector* out, obs::MetricsRegistry* metrics) {
+    TPStreamOperator::Options options;
     options.metrics = metrics;
-    Engine::QueryOptions q0;  // the second query stays uninstrumented
-    q0.metrics = metrics;
-    auto group = std::make_unique<Engine>(options);
-    EXPECT_TRUE(
-        group->AddQuery(OverlapSpec(false), out->Callback("q0@"), q0).ok());
-    EXPECT_TRUE(group->AddQuery(BeforeSpec(), out->Callback("q1@")).ok());
-    return group;
-  }
-  static void Drain(Engine&) {}
-  static obs::MetricsSnapshot Metrics(Engine&, obs::MetricsRegistry& r) {
-    return r.Snapshot();
+    std::vector<TPStreamOperator::Query> queries(2);
+    queries[0] = {OverlapSpec(kPartitioned), out->Callback("q0@"), metrics};
+    queries[1] = {BeforeSpec(kPartitioned), out->Callback("q1@")};
+    auto op = TPStreamOperator::Create(std::move(queries), options);
+    EXPECT_TRUE(op.ok()) << op.status().ToString();
+    EXPECT_EQ(op.value()->num_distinct_definitions(), 3);  // A is shared
+    return std::move(op).value();
   }
 };
+/// Unpartitioned: envelope + one kOperator section of a deriver and two
+/// engines. (The name predates the multi-query operator; the typed-test
+/// names embed it.)
+struct QueryGroupSurface : MultiQueryRow<false> {};
+/// PARTITION BY: that section per key inside kPartitioned.
+struct PartitionedMultiQuerySurface : MultiQueryRow<true> {};
 
 template <typename Surface>
 class EngineConformance : public ::testing::Test {
@@ -266,8 +271,9 @@ class EngineConformance : public ::testing::Test {
   std::string ref_final_;
 };
 
-using Surfaces = ::testing::Types<OperatorSurface, PartitionedSurface,
-                                  ParallelSurface, QueryGroupSurface>;
+using Surfaces =
+    ::testing::Types<OperatorSurface, PartitionedSurface, ParallelSurface,
+                     QueryGroupSurface, PartitionedMultiQuerySurface>;
 TYPED_TEST_SUITE(EngineConformance, Surfaces);
 
 // --- Flush lifecycle --------------------------------------------------------

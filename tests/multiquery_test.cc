@@ -1,4 +1,5 @@
-#include "multi/query_group.h"
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -6,7 +7,7 @@
 #include "derive/fingerprint.h"
 #include "expr/expression.h"
 #include "query/builder.h"
-#include "query/group_builder.h"
+#include "query/parser.h"
 
 namespace tpstream {
 namespace {
@@ -25,6 +26,15 @@ QuerySpec OverlapSpec() {
   auto spec = qb.Build();
   EXPECT_TRUE(spec.ok()) << spec.status().ToString();
   return spec.value();
+}
+
+/// `n` copies of OverlapSpec in one operator, without outputs.
+std::unique_ptr<TPStreamOperator> Copies(int n) {
+  std::vector<TPStreamOperator::Query> queries(n);
+  for (auto& query : queries) query.spec = OverlapSpec();
+  auto op = TPStreamOperator::Create(std::move(queries), {});
+  EXPECT_TRUE(op.ok()) << op.status().ToString();
+  return std::move(op).value();
 }
 
 // --- Expression fingerprints ---------------------------------------------
@@ -93,18 +103,14 @@ TEST(DefinitionFingerprintTest, DistinguishesSemantics) {
   EXPECT_NE(fp, DefinitionFingerprint(extra_agg));
 }
 
-// --- QueryGroup ----------------------------------------------------------
+// --- Multi-query operator ------------------------------------------------
 
 TEST(QueryGroupTest, DeduplicatesIdenticalDefinitions) {
-  multi::QueryGroup group;
-  for (int i = 0; i < 5; ++i) {
-    auto id = group.AddQuery(OverlapSpec(), nullptr);
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    EXPECT_EQ(id.value(), i);
-  }
+  auto op = Copies(5);
+  EXPECT_EQ(op->num_queries(), 5);
   // Five copies of a two-definition query share two distinct definitions.
-  EXPECT_EQ(group.num_distinct_definitions(), 2);
-  EXPECT_EQ(group.total_definitions(), 10);
+  EXPECT_EQ(op->num_distinct_definitions(), 2);
+  EXPECT_EQ(op->total_definitions(), 10);
 }
 
 TEST(QueryGroupTest, MatchesEqualStandaloneOperator) {
@@ -112,39 +118,26 @@ TEST(QueryGroupTest, MatchesEqualStandaloneOperator) {
   TPStreamOperator op(OverlapSpec(), {},
                       [&](const Event& e) { standalone.push_back(e); });
 
-  multi::QueryGroup group;
   std::vector<Event> grouped;
-  ASSERT_TRUE(
-      group.AddQuery(OverlapSpec(), [&](const Event& e) {
-        grouped.push_back(e);
-      }).ok());
+  std::vector<TPStreamOperator::Query> queries(1);
+  queries[0] = {OverlapSpec(), [&](const Event& e) { grouped.push_back(e); }};
+  auto group = TPStreamOperator::Create(std::move(queries), {});
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
 
   for (TimePoint t = 1; t <= 10; ++t) {
     const Event e({Value(t >= 2 && t < 6), Value(t >= 4 && t < 9)}, t);
     op.Push(e);
-    group.Push(e);
+    group.value()->Push(e);
   }
   ASSERT_EQ(standalone.size(), 1u);
   ASSERT_EQ(grouped.size(), 1u);
   EXPECT_EQ(grouped[0].t, standalone[0].t);
   EXPECT_EQ(grouped[0].payload[0].AsInt(), standalone[0].payload[0].AsInt());
-  EXPECT_EQ(group.num_matches(0), op.num_matches());
-  EXPECT_EQ(group.num_events(), op.num_events());
-}
-
-TEST(QueryGroupTest, RejectsRegistrationAfterSealing) {
-  multi::QueryGroup group;
-  ASSERT_TRUE(group.AddQuery(OverlapSpec(), nullptr).ok());
-  group.Push(Event({Value(false), Value(false)}, 1));
-  auto late = group.AddQuery(OverlapSpec(), nullptr);
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(group.value()->num_matches(0), op.num_matches());
+  EXPECT_EQ(group.value()->num_events(), op.num_events());
 }
 
 TEST(QueryGroupTest, RejectsSchemaMismatch) {
-  multi::QueryGroup group;
-  ASSERT_TRUE(group.AddQuery(OverlapSpec(), nullptr).ok());
-
   Schema other({Field{"a", ValueType::kBool}, Field{"b", ValueType::kInt}});
   QueryBuilder qb(other);
   qb.Define("A", FieldRef(0, "a"))
@@ -154,39 +147,20 @@ TEST(QueryGroupTest, RejectsSchemaMismatch) {
       .Return("n", "A", AggKind::kCount);
   auto spec = qb.Build();
   ASSERT_TRUE(spec.ok());
-  auto bad = group.AddQuery(spec.value(), nullptr);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(QueryGroupTest, RejectsPartitionedQueries) {
-  Schema schema({Field{"a", ValueType::kBool}, Field{"b", ValueType::kBool},
-                 Field{"key", ValueType::kInt}});
-  QueryBuilder qb(schema);
-  qb.Define("A", FieldRef(0, "a"))
-      .Define("B", FieldRef(1, "b"))
-      .Relate("A", Relation::kOverlaps, "B")
-      .Within(100)
-      .Return("n", "A", AggKind::kCount)
-      .PartitionBy("key");
-  auto spec = qb.Build();
-  ASSERT_TRUE(spec.ok());
-  multi::QueryGroup group;
-  auto bad = group.AddQuery(spec.value(), nullptr);
+  std::vector<TPStreamOperator::Query> queries(2);
+  queries[0].spec = OverlapSpec();
+  queries[1].spec = spec.value();
+  auto bad = TPStreamOperator::Create(std::move(queries), {});
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(QueryGroupTest, SharedPlanCacheHitsForIdenticalQueries) {
-  multi::QueryGroup group;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(group.AddQuery(OverlapSpec(), nullptr).ok());
-  }
-  group.Seal();
+  auto group = Copies(8);
   // Every engine installs an initial plan at construction; queries 1..7
   // reuse query 0's subset-DP result.
-  EXPECT_EQ(group.plan_cache_misses(), 1);
-  EXPECT_EQ(group.plan_cache_hits(), 7);
+  EXPECT_EQ(group->plan_cache_misses(), 1);
+  EXPECT_EQ(group->plan_cache_hits(), 7);
 }
 
 TEST(QueryGroupTest, GroupMetricsAndSharedDeriverNamespace) {
@@ -194,26 +168,23 @@ TEST(QueryGroupTest, GroupMetricsAndSharedDeriverNamespace) {
   obs::MetricsRegistry q0_metrics;
   obs::MetricsRegistry q1_metrics;
 
-  multi::QueryGroup::Options options;
+  TPStreamOperator::Options options;
   options.metrics = &group_metrics;
-  multi::QueryGroup group(options);
-
-  multi::QueryGroup::QueryOptions q0;
-  q0.metrics = &q0_metrics;
-  multi::QueryGroup::QueryOptions q1;
-  q1.metrics = &q1_metrics;
-  ASSERT_TRUE(group.AddQuery(OverlapSpec(), nullptr, q0).ok());
-  ASSERT_TRUE(group.AddQuery(OverlapSpec(), nullptr, q1).ok());
+  std::vector<TPStreamOperator::Query> queries(2);
+  queries[0] = {OverlapSpec(), nullptr, &q0_metrics};
+  queries[1] = {OverlapSpec(), nullptr, &q1_metrics};
+  auto group = TPStreamOperator::Create(std::move(queries), options);
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
 
   for (TimePoint t = 1; t <= 10; ++t) {
-    group.Push(Event({Value(t >= 2 && t < 6), Value(t >= 4 && t < 9)}, t));
+    group.value()->Push(
+        Event({Value(t >= 2 && t < 6), Value(t >= 4 && t < 9)}, t));
   }
-  group.Flush();
+  group.value()->Flush();
 
   const auto group_snap = group_metrics.Snapshot();
-  // Shared derivation is recorded once, in the group registry.
-  EXPECT_EQ(group_snap.counters.at("multi.events"), 10);
-  EXPECT_GT(group_snap.counters.at("deriver.events"), 0);
+  // Shared derivation is recorded once, in the operator registry.
+  EXPECT_EQ(group_snap.counters.at("deriver.events"), 10);
   EXPECT_EQ(group_snap.gauges.at("multi.queries"), 2.0);
   EXPECT_EQ(group_snap.gauges.at("multi.distinct_definitions"), 2.0);
 
@@ -227,23 +198,53 @@ TEST(QueryGroupTest, GroupMetricsAndSharedDeriverNamespace) {
   }
 }
 
-TEST(QueryGroupBuilderTest, ParsesAndRunsTextQueries) {
-  Schema schema({Field{"a", ValueType::kBool}, Field{"b", ValueType::kBool}});
-  query::QueryGroupBuilder gb(schema);
+TEST(MultiQueryOperatorTest, RejectsPartitionByMismatch) {
+  Schema schema({Field{"a", ValueType::kBool}, Field{"b", ValueType::kBool},
+                 Field{"key", ValueType::kInt},
+                 Field{"zone", ValueType::kInt}});
+  auto spec = [&](const char* partition_by) {
+    QueryBuilder qb(schema);
+    qb.Define("A", FieldRef(0, "a"))
+        .Define("B", FieldRef(1, "b"))
+        .Relate("A", Relation::kOverlaps, "B")
+        .Within(100)
+        .Return("n", "A", AggKind::kCount);
+    if (partition_by != nullptr) qb.PartitionBy(partition_by);
+    auto built = qb.Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.value();
+  };
+  for (const char* other : {"zone", static_cast<const char*>(nullptr)}) {
+    std::vector<TPStreamOperator::Query> queries(2);
+    queries[0].spec = spec("key");
+    queries[1].spec = spec(other);
+    auto bad = TPStreamOperator::Create(std::move(queries), {});
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::vector<TPStreamOperator::Query> same(2);
+  same[0].spec = spec("key");
+  same[1].spec = spec("key");
+  EXPECT_TRUE(TPStreamOperator::Create(std::move(same), {}).ok());
+}
 
-  std::vector<Event> outputs;
-  auto id = gb.AddQueryText(
+TEST(MultiQueryOperatorTest, ParsesAndRunsTextQueries) {
+  Schema schema({Field{"a", ValueType::kBool}, Field{"b", ValueType::kBool}});
+  EXPECT_FALSE(query::ParseQuery("DEFINE nonsense", schema).ok());
+  auto spec = query::ParseQuery(
       "FROM Stream S DEFINE A AS S.a, B AS S.b "
       "PATTERN A overlaps B WITHIN 100 RETURN count(A.a) AS n_a",
-      [&](const Event& e) { outputs.push_back(e); });
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  auto bad = gb.AddQueryText("DEFINE nonsense", nullptr);
-  EXPECT_FALSE(bad.ok());
+      schema);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
 
-  auto group = gb.Build();
-  ASSERT_NE(group, nullptr);
+  std::vector<Event> outputs;
+  std::vector<TPStreamOperator::Query> queries(1);
+  queries[0] = {spec.value(), [&](const Event& e) { outputs.push_back(e); }};
+  auto group = TPStreamOperator::Create(std::move(queries), {});
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
   for (TimePoint t = 1; t <= 10; ++t) {
-    group->Push(Event({Value(t >= 2 && t < 6), Value(t >= 4 && t < 9)}, t));
+    group.value()->Push(
+        Event({Value(t >= 2 && t < 6), Value(t >= 4 && t < 9)}, t));
   }
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_EQ(outputs[0].t, 6);

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "optimizer/shared_plan_cache.h"
 #include "tests/test_util.h"
 
 namespace tpstream {
@@ -132,6 +135,25 @@ TEST(AdaptiveControllerTest, ReoptimizesOnDriftOnly) {
   if (order.has_value()) {
     EXPECT_NE((*order)[0], 0);
   }
+}
+
+// The plan memo is bounded: past kMaxEntries distinct keys it starts
+// over instead of growing, and every answer is still what compute() says.
+TEST(SharedPlanCacheTest, StaysBoundedAndPure) {
+  SharedPlanCache cache;
+  const size_t n = SharedPlanCache::kMaxEntries * 2 + 7;
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<int> want = {static_cast<int>(i % 5),
+                                   static_cast<int>(i)};
+    const std::string key = "k" + std::to_string(i);
+    EXPECT_EQ(cache.GetOrCompute(key, [&] { return want; }), want);
+    ASSERT_LE(cache.size(), SharedPlanCache::kMaxEntries);
+    // A repeated key answers from the memo with the same order.
+    EXPECT_EQ(cache.GetOrCompute(key, [] { return std::vector<int>{-1}; }),
+              want);
+  }
+  EXPECT_EQ(cache.misses(), static_cast<int64_t>(n));
+  EXPECT_EQ(cache.hits(), static_cast<int64_t>(n));
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
-#include "multi/query_group.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
 
@@ -259,13 +258,11 @@ INSTANTIATE_TEST_SUITE_P(
              "Batch" + std::to_string(info.param.batch);
     });
 
-// The interpreter ablation is one flag, and all three option structs
-// that carry it default to the compiled path.
+// The interpreter ablation is one flag, and both option structs that
+// carry it default to the compiled path.
 TEST(CompiledPredicatesDefault, AgreesAcrossOptionStructs) {
   EXPECT_TRUE(DeriveOptions{}.compiled_predicates);
   EXPECT_EQ(TPStreamOperator::Options{}.compiled_predicates,
-            DeriveOptions{}.compiled_predicates);
-  EXPECT_EQ(multi::QueryGroup::Options{}.compiled_predicates,
             DeriveOptions{}.compiled_predicates);
 }
 

@@ -23,7 +23,6 @@
 #include "log/event_log.h"
 #include "log/memfs.h"
 #include "log/recovery.h"
-#include "multi/query_group.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"
 #include "robust/dead_letter.h"
@@ -243,24 +242,40 @@ TEST_P(RecoveryDifferential, Pipeline) {
       Disorder(MakeStream(kStreamLen, 54), /*k=*/4), GetParam());
 }
 
+/// SensorSpec plus a second query sharing its definition B, in one
+/// operator.
+std::unique_ptr<TPStreamOperator> TwoQueries(bool partitioned) {
+  std::vector<TPStreamOperator::Query> queries(2);
+  queries[0] = {SensorSpec(partitioned), [](const Event&) {}};
+  QueryBuilder qb(SensorSchema());
+  qb.Define("B", Gt(FieldRef(1, "temp"), Literal(0.45)))
+      .Within(40)
+      .Return("avg_b", "B", AggKind::kAvg, "temp");
+  if (partitioned) qb.PartitionBy("key");
+  auto spec = qb.Build();
+  EXPECT_TRUE(spec.ok());
+  queries[1] = {spec.value(), [](const Event&) {}};
+  auto op = TPStreamOperator::Create(std::move(queries), {});
+  EXPECT_TRUE(op.ok()) << op.status().ToString();
+  EXPECT_EQ(op.value()->num_distinct_definitions(), 2);
+  return std::move(op).value();
+}
+
 TEST_P(RecoveryDifferential, QueryGroup) {
-  const auto make = [] {
-    auto group = std::make_unique<multi::QueryGroup>();
-    EXPECT_TRUE(group->AddQuery(SensorSpec(), [](const Event&) {}).ok());
-    QueryBuilder qb(SensorSchema());
-    qb.Define("B", Gt(FieldRef(1, "temp"), Literal(0.45)))
-        .Within(40)
-        .Return("n_b", "B", AggKind::kCount);
-    auto spec = qb.Build();
-    EXPECT_TRUE(spec.ok());
-    EXPECT_TRUE(group->AddQuery(spec.value(), [](const Event&) {}).ok());
-    return group;
-  };
+  RunRecoveryDifferential<TPStreamOperator>(
+      [] { return TwoQueries(/*partitioned=*/false); },
+      [](TPStreamOperator&) {}, MakeStream(kStreamLen, 55), GetParam());
+}
+
+// Several engines per partition under delta chains: every other
+// checkpoint is a kPartitionedDelta of the keys touched since.
+TEST_P(RecoveryDifferential, PartitionedMultiQuery) {
   log::RecoveryManager::Options mopts;
   mopts.full_snapshot_interval = 2;
-  RunRecoveryDifferential<multi::QueryGroup>(
-      make, [](multi::QueryGroup&) {}, MakeStream(kStreamLen, 55), GetParam(),
-      mopts);
+  RunRecoveryDifferential<TPStreamOperator>(
+      [] { return TwoQueries(/*partitioned=*/true); },
+      [](TPStreamOperator&) {}, MakeStream(kStreamLen, 57, /*keys=*/7),
+      GetParam(), mopts);
 }
 
 // --- reorder-buffer replay interaction (regression) ------------------------
