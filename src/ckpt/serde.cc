@@ -56,14 +56,12 @@ size_t Writer::BeginSection(Tag tag) {
 }
 
 void Writer::EndSection(size_t cookie) {
-  const uint32_t len = static_cast<uint32_t>(buf_.size() - cookie);
-  for (size_t i = 0; i < 4; ++i) {
-    buf_[cookie - 4 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
-  }
+  PatchU32(cookie - 4, static_cast<uint32_t>(buf_.size() - cookie));
 }
 
-void Writer::SealChecksum() {
-  const uint32_t crc = log::Crc32c(buf_);
+void Writer::SealChecksum() { ChecksumFooter(log::Crc32c(buf_)); }
+
+void Writer::ChecksumFooter(uint32_t crc) {
   U32(kChecksumMagic);
   U32(crc);
 }

@@ -107,6 +107,21 @@ class Writer {
   /// detects bit-flips anywhere in the sealed bytes deterministically.
   void SealChecksum();
 
+  /// Appends the same footer for bytes whose CRC-32C is `crc`, for a
+  /// sealed blob whose bytes are not all in this Writer.
+  void ChecksumFooter(uint32_t crc);
+
+  /// Overwrites the u32 at byte `pos` (a placeholder written earlier).
+  void PatchU32(size_t pos, uint32_t v) {
+    for (size_t i = 0; i < 4; ++i) {
+      buf_[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  }
+
+  /// Empties the buffer but keeps its capacity, so one Writer can encode
+  /// record after record without reallocating.
+  void Clear() { buf_.clear(); }
+
   const std::string& buffer() const { return buf_; }
   std::string Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }

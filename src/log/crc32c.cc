@@ -1,6 +1,12 @@
 #include "log/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define TPSTREAM_CRC32C_SSE42 1
+#endif
 
 namespace tpstream {
 namespace log {
@@ -35,9 +41,37 @@ const Tables& tables() {
   return kTables;
 }
 
+#ifdef TPSTREAM_CRC32C_SSE42
+// The SSE4.2 CRC32 instruction computes exactly this polynomial, eight
+// bytes per instruction. Only called after the run-time CPU check.
+__attribute__((target("sse4.2"))) uint32_t Crc32cExtendSse42(
+    uint32_t crc, std::string_view data) {
+  uint64_t c = crc ^ 0xffffffffu;
+  const char* p = data.data();
+  size_t n = data.size();
+  while (n >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    c = _mm_crc32_u64(c, word);
+    p += 8;
+    n -= 8;
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  while (n-- > 0) {
+    c32 = _mm_crc32_u8(c32, static_cast<unsigned char>(*p++));
+  }
+  return c32 ^ 0xffffffffu;
+}
+
+bool HasSse42() {
+  static const bool kSupported = __builtin_cpu_supports("sse4.2");
+  return kSupported;
+}
+#endif
+
 }  // namespace
 
-uint32_t Crc32cExtend(uint32_t crc, std::string_view data) {
+uint32_t Crc32cExtendTable(uint32_t crc, std::string_view data) {
   const Tables& tb = tables();
   uint32_t c = crc ^ 0xffffffffu;
   const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
@@ -55,6 +89,13 @@ uint32_t Crc32cExtend(uint32_t crc, std::string_view data) {
     c = (c >> 8) ^ tb.t[0][(c ^ *p++) & 0xffu];
   }
   return c ^ 0xffffffffu;
+}
+
+uint32_t Crc32cExtend(uint32_t crc, std::string_view data) {
+#ifdef TPSTREAM_CRC32C_SSE42
+  if (HasSse42()) return Crc32cExtendSse42(crc, data);
+#endif
+  return Crc32cExtendTable(crc, data);
 }
 
 uint32_t Crc32c(std::string_view data) { return Crc32cExtend(0, data); }

@@ -17,7 +17,13 @@ uint32_t Crc32c(std::string_view data);
 /// Incremental form: extends `crc` (a previous Crc32c result) with
 /// `data`, as if the two byte ranges had been checksummed in one call.
 /// Used for checkpoint-chain hashes: h_g = Crc32cExtend(h_{g-1}, blob).
+/// Runs the SSE4.2 CRC32 instruction when the CPU has it (checked once
+/// at run time), the table path otherwise; both give the same bits.
 uint32_t Crc32cExtend(uint32_t crc, std::string_view data);
+
+/// The portable table (slicing-by-4) path, the only one on CPUs without
+/// SSE4.2. Exposed so tests can hold both paths to one reference.
+uint32_t Crc32cExtendTable(uint32_t crc, std::string_view data);
 
 }  // namespace log
 }  // namespace tpstream

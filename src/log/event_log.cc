@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "ckpt/serde.h"
 #include "log/crc32c.h"
 
 namespace tpstream {
@@ -24,18 +23,18 @@ constexpr uint8_t kRecordCheckpointMarker = 2;
 // full tail is still counted and truncated.
 constexpr size_t kQuarantineRawBytes = 256;
 
+int64_t SteadyNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 uint32_t LoadU32(const char* p) {
   uint32_t v = 0;
   for (size_t i = 0; i < 4; ++i) {
     v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
   }
   return v;
-}
-
-void StoreU32(char* p, uint32_t v) {
-  for (size_t i = 0; i < 4; ++i) {
-    p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
 }
 
 std::string SegmentHeader(uint64_t base) {
@@ -145,11 +144,19 @@ EventLog::EventLog(FileSystem* fs, std::string dir,
   }
 }
 
+EventLog::~EventLog() {
+  if (!sync_thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(sync_mu_);
+    stop_ = true;
+  }
+  sync_requested_cv_.notify_one();
+  sync_thread_.join();
+}
+
 int64_t EventLog::NowNs() const {
   if (options_.sync.clock) return options_.sync.clock();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+  return SteadyNs();
 }
 
 Status EventLog::Open(FileSystem* fs, const std::string& dir,
@@ -166,6 +173,9 @@ Status EventLog::Open(FileSystem* fs, const std::string& dir,
   }
   if (log->m_truncated_ != nullptr && report.truncated_tail_records > 0) {
     log->m_truncated_->Inc(report.truncated_tail_records);
+  }
+  if (options.sync.mode != SyncMode::kEveryRecord) {
+    log->sync_thread_ = std::thread(&EventLog::SyncLoop, log.get());
   }
   if (out_report != nullptr) *out_report = report;
   *out = std::move(log);
@@ -217,7 +227,9 @@ Status EventLog::OpenTail(OpenReport* report) {
       if (!s.ok()) return s;
       s = tail_->Sync();
       if (!s.ok()) return s;
+      durable_bytes_ = tail_->size();
     }
+    written_bytes_ = tail_->size();
     last_sync_ns_ = NowNs();
     report->segments = 1;
     return Status::OK();
@@ -304,6 +316,10 @@ Status EventLog::OpenTail(OpenReport* report) {
   tail_path_ = JoinPath(dir_, segments_.back().name);
   s = fs_->OpenAppend(tail_path_, &tail_);
   if (!s.ok()) return s;
+  // Sealed segments are durable; whether the tail's records reached the
+  // disk before the previous process ended is unknown until a Sync().
+  written_bytes_ = tail_->size();
+  durable_offset_.store(segments_.back().base);
   last_sync_ns_ = NowNs();
   report->segments = static_cast<int64_t>(segments_.size());
   return Status::OK();
@@ -318,7 +334,9 @@ Status EventLog::RotateIfNeeded() {
   if (end_offset_ == segments_.back().base) return Status::OK();
   // Seal the full segment: everything in it becomes durable before the
   // log moves on, so only the newest segment can ever hold a torn tail.
-  Status s = MaybeSync(/*force=*/true);
+  // The barrier also leaves the log thread idle, so it holds no pointer
+  // to the file closed below.
+  Status s = Sync();
   if (!s.ok()) return s;
   s = tail_->Close();
   if (!s.ok()) return s;
@@ -349,47 +367,118 @@ Status EventLog::RotateIfNeeded() {
   return Status::OK();
 }
 
-Status EventLog::MaybeSync(bool force) {
-  bool due = force;
-  if (!due) {
-    switch (options_.sync.mode) {
-      case SyncMode::kEveryRecord:
-        due = true;
-        break;
-      case SyncMode::kEveryBytes:
-        due = bytes_since_sync_ >= options_.sync.sync_bytes;
-        break;
-      case SyncMode::kInterval:
-        due = NowNs() - last_sync_ns_ >= options_.sync.sync_interval_ns;
-        break;
-    }
+Status EventLog::StickyError() {
+  std::lock_guard<std::mutex> lock(sync_mu_);
+  return sync_error_;
+}
+
+Status EventLog::MaybeSync() {
+  bool due = false;
+  switch (options_.sync.mode) {
+    case SyncMode::kEveryRecord:
+      due = true;
+      break;
+    case SyncMode::kEveryBytes:
+      due = bytes_since_sync_ >= options_.sync.sync_bytes;
+      break;
+    case SyncMode::kInterval:
+      due = NowNs() - last_sync_ns_ >= options_.sync.sync_interval_ns;
+      break;
   }
   if (!due) return Status::OK();
-  const int64_t t0 = NowNs();
-  Status s = tail_->Sync();
-  if (!s.ok()) return s;
-  if (m_fsyncs_ != nullptr) m_fsyncs_->Inc();
-  if (m_fsync_ns_ != nullptr) m_fsync_ns_->Record(NowNs() - t0);
+  if (!sync_thread_.joinable()) return SyncTail();
   bytes_since_sync_ = 0;
   last_sync_ns_ = NowNs();
+  std::lock_guard<std::mutex> lock(sync_mu_);
+  RequestSyncLocked();
   return Status::OK();
 }
 
-Status EventLog::WriteRecord(const std::string& payload, bool force_sync) {
+Status EventLog::SyncTail() {
+  const int64_t t0 = SteadyNs();
+  Status s = tail_->Sync();
+  if (!s.ok()) return s;
+  if (m_fsyncs_ != nullptr) m_fsyncs_->Inc();
+  if (m_fsync_ns_ != nullptr) m_fsync_ns_->Record(SteadyNs() - t0);
+  bytes_since_sync_ = 0;
+  last_sync_ns_ = NowNs();
+  std::lock_guard<std::mutex> lock(sync_mu_);
+  durable_bytes_ = written_bytes_;
+  durable_offset_.store(end_offset_);
+  return Status::OK();
+}
+
+void EventLog::RequestSyncLocked() {
+  requested_bytes_ = written_bytes_;
+  requested_offset_ = end_offset_;
+  sync_file_ = tail_.get();
+  sync_requested_cv_.notify_one();
+}
+
+void EventLog::WaitSyncIdle() {
+  std::unique_lock<std::mutex> lock(sync_mu_);
+  sync_done_cv_.wait(lock, [this] {
+    return !sync_error_.ok() || durable_bytes_ >= requested_bytes_;
+  });
+}
+
+void EventLog::SyncLoop() {
+  std::unique_lock<std::mutex> lock(sync_mu_);
+  for (;;) {
+    auto pending = [this] {
+      return sync_error_.ok() && requested_bytes_ > durable_bytes_;
+    };
+    sync_requested_cv_.wait(lock, [&] { return stop_ || pending(); });
+    if (!pending()) return;  // stopping, nothing left to cover
+    // Take the newest request: everything written before this fsync
+    // starts is covered by it, however many requests that was.
+    const uint64_t bytes = requested_bytes_;
+    const uint64_t offset = requested_offset_;
+    WritableFile* file = sync_file_;
+    lock.unlock();
+    const int64_t t0 = SteadyNs();
+    Status s = file->Sync();
+    const int64_t t1 = SteadyNs();
+    lock.lock();
+    if (s.ok()) {
+      if (m_fsyncs_ != nullptr) m_fsyncs_->Inc();
+      if (m_fsync_ns_ != nullptr) m_fsync_ns_->Record(t1 - t0);
+      durable_bytes_ = bytes;
+      durable_offset_.store(offset);
+    } else {
+      sync_error_ = std::move(s);
+    }
+    sync_done_cv_.notify_all();
+  }
+}
+
+void EventLog::BeginRecord(uint8_t type) {
+  frame_.Clear();
+  frame_.U32(0);  // payload length, patched by WriteRecord
+  frame_.U32(0);  // payload crc32c, patched by WriteRecord
+  frame_.U8(type);
+}
+
+Status EventLog::WriteRecord(uint64_t num_events) {
   Status s = RotateIfNeeded();
   if (!s.ok()) return s;
-  std::string frame;
-  frame.resize(kRecordHeaderSize);
-  StoreU32(frame.data(), static_cast<uint32_t>(payload.size()));
-  StoreU32(frame.data() + 4, Crc32c(payload));
-  frame.append(payload);
+  const std::string_view frame = frame_.buffer();
+  const std::string_view payload = frame.substr(kRecordHeaderSize);
+  frame_.PatchU32(0, static_cast<uint32_t>(payload.size()));
+  frame_.PatchU32(4, Crc32c(payload));
 
   const uint64_t pre_size = tail_->size();
   const uint64_t pre_bytes_since_sync = bytes_since_sync_;
   s = tail_->Append(frame);
   if (s.ok()) {
+    end_offset_ += num_events;
+    written_bytes_ += frame.size();
     bytes_since_sync_ += frame.size();
-    s = MaybeSync(force_sync);
+    s = MaybeSync();  // fails only on an inline (kEveryRecord) fsync
+    if (!s.ok()) {
+      end_offset_ -= num_events;
+      written_bytes_ -= frame.size();
+    }
   }
   if (!s.ok()) {
     // Roll the record back so the segment holds exactly the records the
@@ -399,6 +488,7 @@ Status EventLog::WriteRecord(const std::string& payload, bool force_sync) {
     // events reported as failed and a retried Append writes a second
     // batch with the same first-offset, making the log unopenable.
     bytes_since_sync_ = pre_bytes_since_sync;
+    WaitSyncIdle();  // the log thread must not hold the file closed here
     tail_->Close();
     tail_.reset();
     fs_->Truncate(tail_path_, pre_size);
@@ -412,24 +502,25 @@ Status EventLog::WriteRecord(const std::string& payload, bool force_sync) {
 }
 
 Result<uint64_t> EventLog::Append(std::span<const Event> events) {
-  if (events.empty()) return end_offset_;
-  ckpt::Writer w;
-  w.U8(kRecordEventBatch);
-  w.U64(end_offset_);
-  w.U32(static_cast<uint32_t>(events.size()));
-  for (const Event& e : events) w.WriteEvent(e);
-  Status s = WriteRecord(w.buffer(), /*force_sync=*/false);
+  Status s = StickyError();
   if (!s.ok()) return s;
-  end_offset_ += events.size();
+  if (events.empty()) return end_offset_;
+  BeginRecord(kRecordEventBatch);
+  frame_.U64(end_offset_);
+  frame_.U32(static_cast<uint32_t>(events.size()));
+  for (const Event& e : events) frame_.WriteEvent(e);
+  s = WriteRecord(events.size());
+  if (!s.ok()) return s;
   return end_offset_;
 }
 
 Status EventLog::AppendCheckpointMarker(uint64_t generation, uint64_t offset) {
-  ckpt::Writer w;
-  w.U8(kRecordCheckpointMarker);
-  w.U64(generation);
-  w.U64(offset);
-  Status s = WriteRecord(w.buffer(), /*force_sync=*/true);
+  Status s = StickyError();
+  if (!s.ok()) return s;
+  BeginRecord(kRecordCheckpointMarker);
+  frame_.U64(generation);
+  frame_.U64(offset);
+  s = WriteRecord(0);
   if (!s.ok()) return s;
   has_marker_ = true;
   marker_generation_ = generation;
@@ -437,7 +528,23 @@ Status EventLog::AppendCheckpointMarker(uint64_t generation, uint64_t offset) {
   return Status::OK();
 }
 
-Status EventLog::Sync() { return MaybeSync(/*force=*/true); }
+Status EventLog::Sync() {
+  std::unique_lock<std::mutex> lock(sync_mu_);
+  if (!sync_error_.ok()) return sync_error_;
+  if (durable_bytes_ >= written_bytes_) return Status::OK();
+  if (!sync_thread_.joinable()) {
+    lock.unlock();
+    return SyncTail();
+  }
+  bytes_since_sync_ = 0;
+  last_sync_ns_ = NowNs();
+  RequestSyncLocked();
+  const uint64_t target = written_bytes_;
+  sync_done_cv_.wait(lock, [&] {
+    return !sync_error_.ok() || durable_bytes_ >= target;
+  });
+  return sync_error_;
+}
 
 bool EventLog::LatestCheckpointMarker(uint64_t* generation,
                                       uint64_t* offset) const {

@@ -1,13 +1,18 @@
 #ifndef TPSTREAM_LOG_EVENT_LOG_H_
 #define TPSTREAM_LOG_EVENT_LOG_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "ckpt/serde.h"
 #include "common/event.h"
 #include "common/status.h"
 #include "log/file.h"
@@ -20,16 +25,18 @@ namespace log {
 /// When the log issues a durability barrier (fsync) — the classic WAL
 /// latency/durability dial.
 enum class SyncMode {
-  /// fsync after every record: no acknowledged event is ever lost, at
-  /// the cost of one fsync per append.
+  /// fsync after every record, on the caller's thread: no acknowledged
+  /// event is ever lost, at the cost of one fsync per append.
   kEveryRecord,
-  /// fsync once at least `sync_bytes` have accumulated since the last
-  /// barrier (group commit by volume). A crash loses at most the
-  /// unsynced tail, which open-time tail repair truncates cleanly.
+  /// Request a barrier once at least `sync_bytes` have accumulated since
+  /// the last request (group commit by volume). The fsync runs on the
+  /// log thread; a crash loses at most the unsynced tail, which
+  /// open-time tail repair truncates cleanly.
   kEveryBytes,
-  /// fsync once at least `sync_interval_ns` have elapsed since the last
-  /// barrier (group commit by time). Checked on the append path, so an
-  /// idle log syncs at the next append or explicit Sync().
+  /// Request a barrier once at least `sync_interval_ns` have elapsed
+  /// since the last request (group commit by time). Checked on the
+  /// append path, so an idle log syncs at the next append or explicit
+  /// Sync(); the fsync runs on the log thread.
   kInterval,
 };
 
@@ -93,8 +100,22 @@ struct OpenReport {
 /// which is what makes replay byte-identical. Offsets count events, not
 /// bytes; checkpoint markers do not advance the offset.
 ///
+/// Group commit: under kEveryBytes and kInterval the log owns one thread
+/// that runs the fsyncs. Append() still writes on the caller's thread, so
+/// a returned record is in the OS page cache (a process crash keeps it);
+/// when the policy says a barrier is due, Append() hands the fsync to the
+/// log thread and returns. Requests that arrive while an fsync is in
+/// flight are coalesced into the next one. durable_offset() is the
+/// watermark of the last successful fsync. A failed background fsync is
+/// sticky: the kernel may have dropped the dirty pages, so a retry could
+/// report durability that does not exist. Every later Append, Sync and
+/// AppendCheckpointMarker returns that error until the log is reopened.
+/// kEveryRecord starts no thread and syncs inline (a failed sync rolls
+/// its record back and the log stays usable).
+///
 /// Crash tolerance: only the tail of the *final* segment can legally be
-/// torn (appends are sequential). Open() scans that segment record by
+/// torn (appends are sequential; rotation seals the old segment through
+/// the same barrier first). Open() scans that segment record by
 /// record; the first record with a bad length or CRC ends the trusted
 /// prefix — the tail from that point is truncated on disk, counted, and
 /// quarantined to the dead-letter sink. A CRC mismatch anywhere else
@@ -110,19 +131,29 @@ class EventLog {
                      std::unique_ptr<EventLog>* out,
                      OpenReport* out_report = nullptr);
 
+  /// Finishes any fsync already requested, then stops the log thread.
+  /// Issues no barrier of its own: what was not yet due stays unsynced.
+  ~EventLog();
+  EventLog(const EventLog&) = delete;
+  EventLog& operator=(const EventLog&) = delete;
+
   /// Appends one batch as a single record. Returns the log offset of the
   /// *end* of the batch (== the new end_offset()); an empty batch is a
   /// no-op returning end_offset(). On kResourceExhausted (disk full) the
   /// partial record is rolled back and the segment stays re-openable;
-  /// the error names the path and byte count.
+  /// the error names the path and byte count. After a failed background
+  /// fsync it returns that error and writes nothing.
   Result<uint64_t> Append(std::span<const Event> events);
 
-  /// Appends a checkpoint marker record (generation, offset) and forces
-  /// a durability barrier regardless of the sync policy — a checkpoint
-  /// must never be newer than the log tail it points into.
+  /// Appends a checkpoint marker record (generation, offset) under the
+  /// sync policy like any record. Markers are advisory: the checkpoint
+  /// files are the source of truth, and open-time tail repair drops a
+  /// marker together with any earlier record that did not survive.
   Status AppendCheckpointMarker(uint64_t generation, uint64_t offset);
 
-  /// Forces an fsync of the current segment.
+  /// Durability barrier over every record appended so far. Returns at
+  /// once when durable_offset() already covers them; otherwise waits for
+  /// an in-flight fsync and issues at most one more.
   Status Sync();
 
   /// Replays events with log offset >= `offset` in order, invoking
@@ -139,6 +170,11 @@ class EventLog {
 
   /// Log offset one past the last appended event.
   uint64_t end_offset() const { return end_offset_; }
+  /// Log offset one past the last event covered by a successful fsync
+  /// (monotone, <= end_offset()). At open, the base of the final
+  /// segment: earlier segments were sealed, the tail is not yet synced.
+  /// Safe to read from any thread.
+  uint64_t durable_offset() const { return durable_offset_.load(); }
   /// Log offset of the first retained event (0 until truncation exists).
   uint64_t begin_offset() const { return begin_offset_; }
   int64_t num_segments() const { return static_cast<int64_t>(segments_.size()); }
@@ -157,8 +193,23 @@ class EventLog {
 
   Status OpenTail(OpenReport* report);
   Status RotateIfNeeded();
-  Status WriteRecord(const std::string& payload, bool force_sync);
-  Status MaybeSync(bool force);
+  /// Starts a record of `type` in frame_, header left as a placeholder.
+  void BeginRecord(uint8_t type);
+  /// Patches the header of the record in frame_, writes it and applies
+  /// the sync policy; the record carries `num_events` events.
+  Status WriteRecord(uint64_t num_events);
+  /// The append-path barrier rule: due under the policy -> fsync inline
+  /// (kEveryRecord) or hand it to the log thread.
+  Status MaybeSync();
+  /// Inline fsync of the tail (kEveryRecord; no log thread).
+  Status SyncTail();
+  /// Asks the log thread to cover everything written so far. Caller
+  /// holds sync_mu_.
+  void RequestSyncLocked();
+  /// Blocks until no requested fsync is pending or running.
+  void WaitSyncIdle();
+  Status StickyError();
+  void SyncLoop();
   int64_t NowNs() const;
 
   FileSystem* fs_;
@@ -170,8 +221,13 @@ class EventLog {
   std::string tail_path_;
   uint64_t end_offset_ = 0;
   uint64_t begin_offset_ = 0;
+  // Bytes written since this log was opened (the tail's size at open
+  // included): the unit of the durable watermark, markers counted too.
+  uint64_t written_bytes_ = 0;
   uint64_t bytes_since_sync_ = 0;
   int64_t last_sync_ns_ = 0;
+  // One reused record buffer: header placeholder, payload, then patch.
+  ckpt::Writer frame_;
   // Newest checkpoint marker seen (scanned at open, updated on append).
   bool has_marker_ = false;
   uint64_t marker_generation_ = 0;
@@ -186,6 +242,22 @@ class EventLog {
   obs::Counter* m_replayed_events_ = nullptr;
   obs::Gauge* m_segments_ = nullptr;
   obs::LatencyHistogram* m_fsync_ns_ = nullptr;
+
+  // Group commit. The producer owns everything above; the log thread
+  // reads only the metric handles (fixed before it starts) and what
+  // sync_mu_ guards below.
+  std::mutex sync_mu_;
+  std::condition_variable sync_requested_cv_;  // wakes the log thread
+  std::condition_variable sync_done_cv_;       // wakes barrier waiters
+  WritableFile* sync_file_ = nullptr;          // tail to fsync
+  uint64_t requested_bytes_ = 0;
+  uint64_t requested_offset_ = 0;
+  uint64_t durable_bytes_ = 0;
+  Status sync_error_;  // sticky
+  bool stop_ = false;
+  std::atomic<uint64_t> durable_offset_{0};
+  // Declared last: started after, and joined before, everything it uses.
+  std::thread sync_thread_;
 };
 
 }  // namespace log

@@ -25,6 +25,7 @@ class MemWritableFile : public WritableFile {
       : fs_(fs), path_(std::move(path)) {}
 
   Status Append(std::string_view data) override {
+    std::lock_guard<std::mutex> lock(fs_->mu_);
     auto it = fs_->files_.find(path_);
     if (it == fs_->files_.end()) {
       return Status::NotFound("append to deleted file: " + path_);
@@ -45,6 +46,7 @@ class MemWritableFile : public WritableFile {
   }
 
   Status Sync() override {
+    std::lock_guard<std::mutex> lock(fs_->mu_);
     if (fs_->num_syncs_ >= fs_->fail_fsync_after_) {
       ++fs_->num_syncs_;
       return Status::Internal("fsync " + path_ + ": injected failure");
@@ -59,10 +61,7 @@ class MemWritableFile : public WritableFile {
 
   Status Close() override { return Status::OK(); }
 
-  uint64_t size() const override {
-    auto it = fs_->files_.find(path_);
-    return it == fs_->files_.end() ? 0 : it->second.data.size();
-  }
+  uint64_t size() const override { return fs_->FileSize(path_); }
 
  private:
   MemFileSystem* fs_;
@@ -71,12 +70,14 @@ class MemWritableFile : public WritableFile {
 
 Status MemFileSystem::OpenAppend(const std::string& path,
                                  std::unique_ptr<WritableFile>* file) {
+  std::lock_guard<std::mutex> lock(mu_);
   files_.try_emplace(path);  // create if absent, keep existing contents
   *file = std::make_unique<MemWritableFile>(this, path);
   return Status::OK();
 }
 
 Status MemFileSystem::ReadFile(const std::string& path, std::string* out) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return Status::NotFound("no such file: " + path);
   *out = it->second.data;
@@ -85,6 +86,7 @@ Status MemFileSystem::ReadFile(const std::string& path, std::string* out) {
 
 Status MemFileSystem::ListDir(const std::string& dir,
                               std::vector<std::string>* names) {
+  std::lock_guard<std::mutex> lock(mu_);
   names->clear();
   const std::string prefix = JoinPath(dir, "");
   for (const auto& [path, state] : files_) {
@@ -97,11 +99,13 @@ Status MemFileSystem::ListDir(const std::string& dir,
 }
 
 Status MemFileSystem::CreateDir(const std::string& dir) {
+  std::lock_guard<std::mutex> lock(mu_);
   dirs_.insert(dir);
   return Status::OK();
 }
 
 Status MemFileSystem::DeleteFile(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (files_.erase(path) == 0) {
     return Status::NotFound("no such file: " + path);
   }
@@ -110,6 +114,7 @@ Status MemFileSystem::DeleteFile(const std::string& path) {
 
 Status MemFileSystem::RenameFile(const std::string& from,
                                  const std::string& to) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(from);
   if (it == files_.end()) return Status::NotFound("no such file: " + from);
   files_[to] = std::move(it->second);
@@ -118,6 +123,7 @@ Status MemFileSystem::RenameFile(const std::string& from,
 }
 
 Status MemFileSystem::Truncate(const std::string& path, uint64_t size) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return Status::NotFound("no such file: " + path);
   if (size < it->second.data.size()) {
@@ -128,16 +134,18 @@ Status MemFileSystem::Truncate(const std::string& path, uint64_t size) {
 }
 
 bool MemFileSystem::FileExists(const std::string& path) {
-  return files_.count(path) != 0;
+  return HasFile(path);
 }
 
 void MemFileSystem::SimulateCrash() {
+  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [path, state] : files_) {
     state.data.resize(state.synced_size);
   }
 }
 
 void MemFileSystem::TruncateTo(const std::string& path, uint64_t size) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return;
   if (size < it->second.data.size()) it->second.data.resize(size);
@@ -146,18 +154,26 @@ void MemFileSystem::TruncateTo(const std::string& path, uint64_t size) {
 
 void MemFileSystem::CorruptByte(const std::string& path, uint64_t pos,
                                 uint8_t mask) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end() || pos >= it->second.data.size()) return;
   it->second.data[pos] = static_cast<char>(
       static_cast<uint8_t>(it->second.data[pos]) ^ mask);
 }
 
+bool MemFileSystem::HasFile(const std::string& path) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return files_.count(path) != 0;
+}
+
 uint64_t MemFileSystem::FileSize(const std::string& path) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   return it == files_.end() ? 0 : it->second.data.size();
 }
 
 std::string MemFileSystem::Contents(const std::string& path) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   return it == files_.end() ? std::string() : it->second.data;
 }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,6 +29,9 @@ namespace log {
 ///     real filesystem would.
 ///   - `set_fail_fsync_after(n)`: the first n Sync() calls succeed, every
 ///     later one fails with kInternal.
+///
+/// Thread-safe: one mutex guards all state, so a log thread's Sync() may
+/// race the producer's appends and the test's crash and inspection calls.
 class MemFileSystem : public FileSystem {
  public:
   Status OpenAppend(const std::string& path,
@@ -42,13 +46,19 @@ class MemFileSystem : public FileSystem {
   bool FileExists(const std::string& path) override;
 
   // --- fault plan ------------------------------------------------------
-  void set_enospc_after_bytes(uint64_t n) { enospc_after_bytes_ = n; }
-  void clear_enospc() {
-    enospc_after_bytes_ = std::numeric_limits<uint64_t>::max();
+  void set_enospc_after_bytes(uint64_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    enospc_after_bytes_ = n;
   }
-  void set_fail_fsync_after(uint64_t n) { fail_fsync_after_ = n; }
+  void clear_enospc() {
+    set_enospc_after_bytes(std::numeric_limits<uint64_t>::max());
+  }
+  void set_fail_fsync_after(uint64_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_fsync_after_ = n;
+  }
   void clear_fsync_fault() {
-    fail_fsync_after_ = std::numeric_limits<uint64_t>::max();
+    set_fail_fsync_after(std::numeric_limits<uint64_t>::max());
   }
 
   // --- crash simulation ------------------------------------------------
@@ -60,13 +70,17 @@ class MemFileSystem : public FileSystem {
   void CorruptByte(const std::string& path, uint64_t pos, uint8_t mask);
 
   // --- inspection ------------------------------------------------------
-  bool HasFile(const std::string& path) const {
-    return files_.count(path) != 0;
-  }
+  bool HasFile(const std::string& path) const;
   uint64_t FileSize(const std::string& path) const;
   std::string Contents(const std::string& path) const;
-  uint64_t total_appended() const { return total_appended_; }
-  uint64_t num_syncs() const { return num_syncs_; }
+  uint64_t total_appended() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return total_appended_;
+  }
+  uint64_t num_syncs() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return num_syncs_;
+  }
 
  private:
   friend class MemWritableFile;
@@ -76,6 +90,7 @@ class MemFileSystem : public FileSystem {
     uint64_t synced_size = 0;
   };
 
+  mutable std::mutex mu_;  // guards every member below
   std::map<std::string, FileState> files_;
   std::set<std::string> dirs_;
   uint64_t total_appended_ = 0;

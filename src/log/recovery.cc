@@ -91,16 +91,18 @@ Status RecoveryManager::PersistGeneration(uint64_t generation, bool delta,
                                           uint32_t base_hash,
                                           const std::string& blob,
                                           uint64_t* file_bytes) {
-  ckpt::Writer w;
-  w.U32(kCheckpointFileMagic);
-  w.U32(kCheckpointFileVersion);
-  w.U64(generation);
-  w.U8(delta ? kKindDelta : kKindFull);
-  w.U64(base_generation);
-  w.U32(base_hash);
-  w.Str(blob);
-  w.SealChecksum();
-  const std::string bytes = w.Take();
+  // header | blob | footer, the bytes ckpt::Writer::Str(blob) followed
+  // by SealChecksum() would build, written without copying the blob.
+  ckpt::Writer header;
+  header.U32(kCheckpointFileMagic);
+  header.U32(kCheckpointFileVersion);
+  header.U64(generation);
+  header.U8(delta ? kKindDelta : kKindFull);
+  header.U64(base_generation);
+  header.U32(base_hash);
+  header.U64(blob.size());
+  ckpt::Writer footer;
+  footer.ChecksumFooter(Crc32cExtend(Crc32c(header.buffer()), blob));
 
   const std::string name = EntryFileName(generation, delta);
   const std::string tmp_path = JoinPath(dir_, name + ".tmp");
@@ -110,7 +112,9 @@ Status RecoveryManager::PersistGeneration(uint64_t generation, bool delta,
   // durable bytes — a crash mid-write leaves a .tmp that ScanDir skips.
   std::unique_ptr<WritableFile> file;
   Status s = fs_->OpenAppend(tmp_path, &file);
-  if (s.ok()) s = file->Append(bytes);
+  if (s.ok()) s = file->Append(header.buffer());
+  if (s.ok()) s = file->Append(blob);
+  if (s.ok()) s = file->Append(footer.buffer());
   if (s.ok()) s = file->Sync();
   if (file != nullptr) {
     Status close = file->Close();
@@ -127,7 +131,9 @@ Status RecoveryManager::PersistGeneration(uint64_t generation, bool delta,
   e.delta = delta;
   e.name = name;
   entries_.push_back(std::move(e));
-  if (file_bytes != nullptr) *file_bytes = bytes.size();
+  if (file_bytes != nullptr) {
+    *file_bytes = header.size() + blob.size() + footer.size();
+  }
   return Status::OK();
 }
 
@@ -240,7 +246,8 @@ Status RecoveryManager::CommitCheckpoint(uint64_t generation, bool delta,
   if (log_ != nullptr) {
     // Advisory marker (LatestCheckpointMarker); the generation files are
     // the source of truth, so a marker-append failure is not fatal to the
-    // checkpoint that already hit disk.
+    // checkpoint that already hit disk, and the marker rides the log's
+    // sync policy instead of forcing a barrier of its own.
     (void)log_->AppendCheckpointMarker(generation, offset);
   }
   return Status::OK();

@@ -81,11 +81,14 @@ struct RecoveryReport {
 /// inside — the durable event log's directory, and ties the two
 /// together:
 ///
-///   Checkpoint(engine):  log.Sync()                (events <= offset are
-///                                                   durable first)
+///   Checkpoint(engine):  log barrier               (events < offset are
+///                                                   durable first; free
+///                                                   when durable_offset()
+///                                                   already covers them)
 ///                        -> write generation file  (tmp + fsync + rename)
 ///                        -> engine baseline mark   (dirty sets cleared)
-///                        -> log checkpoint marker  (fsync'd)
+///                        -> log checkpoint marker  (advisory, under the
+///                                                   log's sync policy)
 ///
 ///   Recover(engine):     newest valid full snapshot (corrupt ones fall
 ///                        back to the previous generation)
@@ -110,6 +113,16 @@ struct RecoveryReport {
 /// (1=full, 2=delta) | u64 base generation | u32 base chain hash |
 /// Str(blob) | checksum footer (ckpt::Writer::SealChecksum). The blob is
 /// the engine's own Checkpoint()/CheckpointIncremental() bytes.
+///
+/// Output contract: alerts are emitted as the engine derives them, not
+/// when their input becomes durable. Under group commit (kEveryBytes,
+/// kInterval) an alert may therefore be emitted for an event that is
+/// written but not yet covered by EventLog::durable_offset(); a power
+/// cut can lose that event, and recovery does not re-derive the alert
+/// (the source re-sends from the recovered log's end_offset(), and the
+/// alert comes again then). Every alert whose input was durable at the
+/// crash is re-derived exactly once: the checkpoint holds the state up
+/// to its offset and replay covers the rest of the durable log.
 ///
 /// Checkpoint takes an Engine and Recover a Recoverable one; the
 /// incremental surface (CheckpointIncremental / RestoreIncremental /
@@ -261,9 +274,10 @@ Result<CheckpointInfo> RecoveryManager::Checkpoint(E& engine) {
     if (!s.ok()) return s;
   }
 
-  // Events at or below the stamped offset must be durable before a
-  // checkpoint claims replay can start there.
-  if (log_ != nullptr) {
+  // Events below the stamped offset must be durable before a checkpoint
+  // claims replay can start there; an offset the watermark already
+  // covers costs no fsync.
+  if (log_ != nullptr && log_->durable_offset() < offset) {
     Status s = log_->Sync();
     if (!s.ok()) return s;
   }

@@ -1,12 +1,19 @@
-// Durable event log unit suite: CRC-32C vectors, the segment format,
-// rotation, replay-from-offset, fsync policies, torn-tail repair and the
-// fault-injecting File seam (disk full, failing fsync).
+// Durable event log unit suite: CRC-32C vectors (hardware and table
+// paths), the segment format, rotation, replay-from-offset, fsync
+// policies and group commit, torn-tail repair and the fault-injecting
+// File seam (disk full, failing fsync).
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <random>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,6 +42,51 @@ TEST(Crc32c, ExtensionMatchesConcatenation) {
   const std::string b = "matching on event streams";
   EXPECT_EQ(Crc32cExtend(Crc32c(a), b), Crc32c(a + b));
   EXPECT_EQ(Crc32cExtend(Crc32c(""), a), Crc32c(a));
+}
+
+/// Bit-at-a-time CRC-32C, the definition both fast paths must match.
+uint32_t BitwiseCrc32c(std::string_view data) {
+  uint32_t c = 0xffffffffu;
+  for (const char ch : data) {
+    c ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1u) ? 0x82f63b78u : 0u);
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::string RandomBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng() & 0xff);
+  return out;
+}
+
+TEST(Crc32c, BothPathsMatchBitwiseReference) {
+  // One extra leading byte so the checked ranges also start unaligned.
+  const std::string buf = RandomBytes(302, 11);
+  for (size_t len = 0; len <= 300; ++len) {
+    for (size_t start = 0; start <= 1; ++start) {
+      const std::string_view data = std::string_view(buf).substr(start, len);
+      const uint32_t want = BitwiseCrc32c(data);
+      EXPECT_EQ(Crc32cExtendTable(0, data), want) << "len " << len;
+      EXPECT_EQ(Crc32c(data), want) << "len " << len;
+    }
+  }
+  EXPECT_EQ(Crc32cExtendTable(0, "123456789"), 0xE3069283u);
+  EXPECT_EQ(Crc32cExtend(0, "123456789"), 0xE3069283u);
+}
+
+TEST(Crc32c, ExtendMatchesAtEverySplitPoint) {
+  const std::string data = RandomBytes(300, 12);
+  const uint32_t whole = BitwiseCrc32c(data);
+  const std::string_view view(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const std::string_view head = view.substr(0, split);
+    const std::string_view tail = view.substr(split);
+    EXPECT_EQ(Crc32cExtend(Crc32c(head), tail), whole) << "split " << split;
+    EXPECT_EQ(Crc32cExtendTable(Crc32cExtendTable(0, head), tail), whole)
+        << "split " << split;
+  }
 }
 
 TEST(Crc32c, SensitiveToEveryByte) {
@@ -83,6 +135,17 @@ std::unique_ptr<EventLog> MustOpen(FileSystem* fs, const std::string& dir,
   Status s = EventLog::Open(fs, dir, options, &log, report);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return log;
+}
+
+/// Waits (bounded) for the log thread's watermark to reach `offset`.
+bool WaitDurable(const EventLog& log, uint64_t offset) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (log.durable_offset() < offset) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return true;
 }
 
 // --- append / replay -------------------------------------------------------
@@ -274,10 +337,187 @@ TEST(EventLog, IntervalSyncsOnInjectedClock) {
 
   now_ns += 2'000'000;
   ASSERT_TRUE(log->Append(MakeEvents(1, 3)).ok());
-  EXPECT_EQ(fs.num_syncs(), baseline + 1);  // period elapsed -> barrier
+  // Period elapsed -> barrier, run by the log thread.
+  ASSERT_TRUE(WaitDurable(*log, 3));
+  EXPECT_EQ(fs.num_syncs(), baseline + 1);
 
   ASSERT_TRUE(log->Append(MakeEvents(1, 4)).ok());
   EXPECT_EQ(fs.num_syncs(), baseline + 1);
+}
+
+// --- group commit (log thread, durable watermark) ---------------------------
+
+TEST(EventLog, GroupCommitFailedFsyncIsStickyAndCrashKeepsDurablePrefix) {
+  MemFileSystem fs;
+  EventLogOptions options;
+  options.sync.mode = SyncMode::kEveryBytes;
+  options.sync.sync_bytes = 1;  // every append requests a barrier
+  auto log = MustOpen(&fs, "/log", options);
+  const std::vector<Event> events = MakeEvents(40);
+  fs.set_fail_fsync_after(fs.num_syncs() + 5);
+
+  // Sync() after each append waits for the fsync that append requested
+  // and issues none of its own, so fsync k covers exactly event k.
+  Status failure;
+  uint64_t durable = 0;
+  size_t appended = 0;
+  while (appended < events.size() && failure.ok()) {
+    ASSERT_TRUE(log->Append(std::span<const Event>(&events[appended], 1)).ok());
+    ++appended;
+    failure = log->Sync();
+    EXPECT_GE(log->durable_offset(), durable);
+    EXPECT_LE(log->durable_offset(), log->end_offset());
+    durable = log->durable_offset();
+  }
+  ASSERT_FALSE(failure.ok());
+  EXPECT_EQ(failure.code(), StatusCode::kInternal);
+  EXPECT_EQ(durable, 5u);
+  EXPECT_EQ(appended, 6u);
+
+  // Sticky: every later call returns the failure and writes nothing,
+  // even once fsync works again (the dirty pages may be gone).
+  fs.clear_fsync_fault();
+  auto r = log->Append(std::span<const Event>(&events[appended], 1));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), failure.ToString());
+  EXPECT_EQ(log->AppendCheckpointMarker(1, 5).ToString(), failure.ToString());
+  EXPECT_EQ(log->Sync().ToString(), failure.ToString());
+  EXPECT_EQ(log->end_offset(), appended);
+  EXPECT_EQ(log->durable_offset(), durable);
+
+  log.reset();
+  fs.SimulateCrash();
+  auto reopened = MustOpen(&fs, "/log", options);
+  EXPECT_EQ(reopened->end_offset(), durable);
+  ExpectSameEvents(Replay(*reopened, 0),
+                   std::vector<Event>(events.begin(), events.begin() + durable));
+  // Reopening clears the failure.
+  ASSERT_TRUE(reopened->Append(MakeEvents(2, 100)).ok());
+  ASSERT_TRUE(reopened->Sync().ok());
+  EXPECT_EQ(reopened->durable_offset(), durable + 2);
+}
+
+TEST(EventLog, GroupCommitFailureSurfacesOnNextAppend) {
+  MemFileSystem fs;
+  EventLogOptions options;
+  options.sync.mode = SyncMode::kEveryBytes;
+  options.sync.sync_bytes = 1;
+  auto log = MustOpen(&fs, "/log", options);
+  fs.set_fail_fsync_after(fs.num_syncs() + 2);
+  Status failure;
+  for (int i = 0; i < 100000 && failure.ok(); ++i) {
+    failure = log->Append(MakeEvents(1, i)).status();
+    if (failure.ok()) std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  ASSERT_FALSE(failure.ok()) << "the failed background fsync never surfaced";
+  EXPECT_EQ(failure.code(), StatusCode::kInternal);
+  // Two good fsyncs, then the failed one: that one covered at least one
+  // event past the watermark.
+  const uint64_t durable = log->durable_offset();
+  const uint64_t end = log->end_offset();
+  EXPECT_GE(durable, 2u);
+  EXPECT_LT(durable, end);
+
+  log.reset();
+  fs.SimulateCrash();
+  auto reopened = MustOpen(&fs, "/log", options);
+  // The last good fsync may also have covered records written while it
+  // ran, so the survivors lie between the watermark and the end.
+  EXPECT_GE(reopened->end_offset(), durable);
+  EXPECT_LE(reopened->end_offset(), end);
+}
+
+TEST(EventLog, DurableOffsetIsMonotoneAndBoundedByEnd) {
+  MemFileSystem fs;
+  EventLogOptions options;
+  options.sync.mode = SyncMode::kEveryBytes;
+  options.sync.sync_bytes = 512;
+  options.segment_bytes = 16 * 1024;
+  auto log = MustOpen(&fs, "/log", options);
+
+  // A second thread watches the watermark while the producer appends.
+  std::atomic<bool> done{false};
+  std::atomic<bool> went_back{false};
+  std::thread watcher([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      const uint64_t now = log->durable_offset();
+      if (now < last) went_back.store(true);
+      last = now;
+    }
+  });
+  const uint64_t baseline = fs.num_syncs();
+  uint64_t last = 0;
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(log->Append(MakeEvents(3, 3 * i)).ok());
+    const uint64_t durable = log->durable_offset();
+    EXPECT_GE(durable, last);
+    EXPECT_LE(durable, log->end_offset());
+    last = durable;
+  }
+  ASSERT_TRUE(log->Sync().ok());
+  done.store(true);
+  watcher.join();
+  EXPECT_FALSE(went_back.load());
+  EXPECT_EQ(log->durable_offset(), log->end_offset());
+  EXPECT_GT(log->num_segments(), 1);
+  // Requests coalesce: never more barriers than appends.
+  EXPECT_LT(fs.num_syncs() - baseline, 2000u);
+}
+
+TEST(EventLog, SyncIsFreeWhenWatermarkCoversTheLog) {
+  MemFileSystem fs;
+  EventLogOptions options;
+  options.sync.mode = SyncMode::kEveryBytes;
+  options.sync.sync_bytes = 1 << 30;  // never auto-sync
+  auto log = MustOpen(&fs, "/log", options);
+  EXPECT_EQ(log->durable_offset(), 0u);
+  ASSERT_TRUE(log->Append(MakeEvents(4)).ok());
+  EXPECT_EQ(log->durable_offset(), 0u);
+  const uint64_t baseline = fs.num_syncs();
+  ASSERT_TRUE(log->Sync().ok());
+  EXPECT_EQ(log->durable_offset(), 4u);
+  EXPECT_EQ(fs.num_syncs(), baseline + 1);
+  ASSERT_TRUE(log->Sync().ok());  // covered: no second fsync
+  EXPECT_EQ(fs.num_syncs(), baseline + 1);
+  // A marker moves no offset but is still a record to cover.
+  ASSERT_TRUE(log->AppendCheckpointMarker(1, 4).ok());
+  EXPECT_EQ(fs.num_syncs(), baseline + 1);  // rides the group commit
+  ASSERT_TRUE(log->Sync().ok());
+  EXPECT_EQ(fs.num_syncs(), baseline + 2);
+}
+
+TEST(EventLog, RotationSealsTheOldSegmentUnderGroupCommit) {
+  MemFileSystem fs;
+  EventLogOptions options;
+  options.sync.mode = SyncMode::kEveryBytes;
+  options.sync.sync_bytes = 1 << 30;  // only rotation forces barriers
+  options.segment_bytes = 512;
+  const std::vector<Event> events = MakeEvents(100);
+  {
+    auto log = MustOpen(&fs, "/log", options);
+    for (const Event& e : events) {
+      ASSERT_TRUE(log->Append(std::span<const Event>(&e, 1)).ok());
+    }
+    ASSERT_GT(log->num_segments(), 2);
+  }
+  std::vector<std::string> names;
+  ASSERT_TRUE(fs.ListDir("/log", &names).ok());
+  std::sort(names.begin(), names.end());
+  unsigned long long last_base = 0;
+  ASSERT_EQ(std::sscanf(names.back().c_str(), "segment-%20llu.tpl", &last_base),
+            1);
+  ASSERT_GT(last_base, 0u);
+
+  fs.SimulateCrash();
+  OpenReport report;
+  auto log = MustOpen(&fs, "/log", options, &report);
+  // Every sealed segment survived whole; only the unsynced tail is gone.
+  EXPECT_EQ(report.truncated_tail_records, 0);
+  EXPECT_EQ(log->end_offset(), last_base);
+  EXPECT_EQ(log->durable_offset(), last_base);
+  ExpectSameEvents(Replay(*log, 0),
+                   std::vector<Event>(events.begin(), events.begin() + last_base));
 }
 
 // --- torn-tail repair ------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,10 +60,11 @@ std::vector<Event> MakeStream(int n, uint64_t seed, int num_keys = 1) {
   return events;
 }
 
-std::unique_ptr<log::EventLog> MustOpenLog(log::FileSystem* fs,
-                                           const std::string& dir) {
+std::unique_ptr<log::EventLog> MustOpenLog(
+    log::FileSystem* fs, const std::string& dir,
+    const log::EventLogOptions& options = {}) {
   std::unique_ptr<log::EventLog> log;
-  Status s = log::EventLog::Open(fs, dir, {}, &log);
+  Status s = log::EventLog::Open(fs, dir, options, &log);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return log;
 }
@@ -518,6 +520,80 @@ TEST(RecoveryManager, ChainSurvivesManagerRestartBetweenCheckpoints) {
   ASSERT_TRUE(info.ok());
   EXPECT_FALSE(info.value().incremental);
   EXPECT_EQ(info.value().generation, 2u);
+}
+
+TEST(RecoveryManager, GroupCommitKillReDerivesEveryDurableAlertOnce) {
+  // Output contract under kEveryBytes: alerts may run ahead of the
+  // durable watermark, and a power cut loses the unsynced tail. Every
+  // alert whose input was durable at the crash is re-derived exactly
+  // once: the checkpoint holds what precedes its offset, replay re-emits
+  // what follows up to the surviving end of the log.
+  QueryBuilder qb(SensorSchema());
+  qb.Define("A", Gt(FieldRef(0, "speed"), Literal(0.55)))
+      .Define("B", Gt(FieldRef(1, "temp"), Literal(0.45)))
+      .Relate("A", Relation::kBefore, "B")
+      .Within(60)
+      .Return("n_a", "A", AggKind::kCount)
+      .PartitionBy("key");
+  auto built = qb.Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const QuerySpec spec = built.value();
+  const std::vector<Event> events = MakeStream(600, 31, /*num_keys=*/4);
+
+  // Reference alerts, each tagged with the index of its trigger event.
+  std::vector<std::pair<size_t, Event>> ref;
+  {
+    size_t trigger = 0;
+    TPStreamOperator op(spec, {},
+                        [&](const Event& e) { ref.emplace_back(trigger, e); });
+    for (; trigger < events.size(); ++trigger) op.Push(events[trigger]);
+  }
+  ASSERT_GT(ref.size(), 30u);
+
+  log::EventLogOptions log_options;
+  log_options.sync.mode = log::SyncMode::kEveryBytes;
+  log_options.sync.sync_bytes = 512;
+  for (const size_t kill : {150u, 333u, 599u}) {
+    log::MemFileSystem fs;
+    uint64_t durable = 0;
+    {
+      auto log = MustOpenLog(&fs, kLogDir, log_options);
+      auto mgr = MustOpenManager(&fs, kCkptDir, log.get());
+      TPStreamOperator first(spec, {}, nullptr);
+      for (size_t i = 0; i < kill; ++i) {
+        Feed(*log, first, events[i]);
+        if ((i + 1) % 100 == 0) ASSERT_TRUE(mgr->Checkpoint(first).ok());
+      }
+      durable = log->durable_offset();
+      fs.SimulateCrash();  // power cut; the log thread may still be syncing
+    }
+
+    auto log = MustOpenLog(&fs, kLogDir, log_options);
+    auto mgr = MustOpenManager(&fs, kCkptDir, log.get());
+    std::vector<Event> replayed;
+    TPStreamOperator second(spec, {},
+                            [&](const Event& e) { replayed.push_back(e); });
+    auto report = mgr->Recover(second);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const uint64_t survived = log->end_offset();
+    EXPECT_GE(survived, durable) << "kill@" << kill;
+    EXPECT_LE(survived, kill) << "kill@" << kill;
+    EXPECT_EQ(report.value().restored, kill >= 100) << "kill@" << kill;
+    EXPECT_LE(report.value().offset, durable) << "kill@" << kill;
+
+    std::vector<Event> want;
+    for (const auto& [trigger, alert] : ref) {
+      if (trigger >= report.value().offset && trigger < survived) {
+        want.push_back(alert);
+      }
+    }
+    ASSERT_EQ(replayed.size(), want.size()) << "kill@" << kill;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(replayed[i].t, want[i].t) << "kill@" << kill << " alert " << i;
+      EXPECT_EQ(replayed[i].payload, want[i].payload)
+          << "kill@" << kill << " alert " << i;
+    }
+  }
 }
 
 // --- checkpoint checksum footer (satellite) --------------------------------
