@@ -83,6 +83,13 @@ class Writer {
     buf_.append(s.data(), s.size());
   }
 
+  /// Appends `bytes` verbatim, no length prefix: splices bytes another
+  /// Writer encoded (sections are position-independent).
+  void Raw(std::string_view bytes) { buf_.append(bytes.data(), bytes.size()); }
+
+  /// Makes room for `n` more bytes without reallocating.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
   void WriteValue(const Value& v);
   void WriteTuple(const Tuple& t);
   void WriteSituation(const Situation& s);

@@ -12,6 +12,8 @@ namespace tpstream {
 namespace log {
 namespace {
 
+constexpr uint32_t kPoly = 0x82f63b78u;  // 0x1EDC6F41 reflected
+
 // Slicing-by-4 tables for the reflected Castagnoli polynomial, generated
 // once at static-init time. Table 0 is the classic byte-at-a-time table;
 // table k folds a zero byte k positions later, letting the hot loop
@@ -20,7 +22,6 @@ struct Tables {
   std::array<std::array<uint32_t, 256>, 4> t;
 
   Tables() {
-    constexpr uint32_t kPoly = 0x82f63b78u;  // 0x1EDC6F41 reflected
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int j = 0; j < 8; ++j) {
@@ -39,6 +40,39 @@ struct Tables {
 const Tables& tables() {
   static const Tables kTables;
   return kTables;
+}
+
+// Product of two polynomials modulo the CRC polynomial, both in the
+// reflected bit order (bit 31 is x^0).
+uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) product ^= b;
+    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return product;
+}
+
+// p[k] = x^(2^k) modulo the CRC polynomial, for every k a 64-bit byte
+// count can reach (bit 63 of the count is bit 66 of the bit count).
+struct Powers {
+  std::array<uint32_t, 67> p;
+
+  Powers() {
+    p[0] = 1u << 30;  // x^1
+    for (size_t k = 1; k < p.size(); ++k) p[k] = MultModP(p[k - 1], p[k - 1]);
+  }
+};
+
+// x^(8 * bytes) modulo the CRC polynomial: the factor that shifts a CRC
+// past `bytes` zero bytes.
+uint32_t ShiftFactor(uint64_t bytes) {
+  static const Powers kPowers;
+  uint32_t factor = 1u << 31;  // x^0
+  for (size_t k = 3; bytes != 0; bytes >>= 1, ++k) {
+    if (bytes & 1u) factor = MultModP(kPowers.p[k], factor);
+  }
+  return factor;
 }
 
 #ifdef TPSTREAM_CRC32C_SSE42
@@ -99,6 +133,12 @@ uint32_t Crc32cExtend(uint32_t crc, std::string_view data) {
 }
 
 uint32_t Crc32c(std::string_view data) { return Crc32cExtend(0, data); }
+
+uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b) {
+  // The pre- and post-inversions cancel: crc(a + b) is crc(a) shifted
+  // past len_b zero bytes, xor crc(b).
+  return MultModP(ShiftFactor(len_b), crc_a) ^ crc_b;
+}
 
 }  // namespace log
 }  // namespace tpstream

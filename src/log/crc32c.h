@@ -21,6 +21,12 @@ uint32_t Crc32c(std::string_view data);
 /// at run time), the table path otherwise; both give the same bits.
 uint32_t Crc32cExtend(uint32_t crc, std::string_view data);
 
+/// Combines two checksums: given crc_a = Crc32c(a) and crc_b = Crc32c(b)
+/// with len_b = b.size(), returns Crc32c(a + b) without reading either
+/// range again (a GF(2) multiply by x^(8*len_b), O(log len_b)). So one
+/// pass over a blob serves every checksum that covers it.
+uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b);
+
 /// The portable table (slicing-by-4) path, the only one on CPUs without
 /// SSE4.2. Exposed so tests can hold both paths to one reference.
 uint32_t Crc32cExtendTable(uint32_t crc, std::string_view data);

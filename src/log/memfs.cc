@@ -137,6 +137,12 @@ bool MemFileSystem::FileExists(const std::string& path) {
   return HasFile(path);
 }
 
+Status MemFileSystem::SyncDir(const std::string& dir) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++dir_syncs_[dir];
+  return Status::OK();
+}
+
 void MemFileSystem::SimulateCrash() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [path, state] : files_) {

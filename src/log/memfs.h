@@ -44,6 +44,9 @@ class MemFileSystem : public FileSystem {
   Status RenameFile(const std::string& from, const std::string& to) override;
   Status Truncate(const std::string& path, uint64_t size) override;
   bool FileExists(const std::string& path) override;
+  /// Counted no-op: names are always durable here (SimulateCrash keeps
+  /// every file), so tests read dir_syncs() to pin where syncs happen.
+  Status SyncDir(const std::string& dir) override;
 
   // --- fault plan ------------------------------------------------------
   void set_enospc_after_bytes(uint64_t n) {
@@ -81,6 +84,12 @@ class MemFileSystem : public FileSystem {
     std::lock_guard<std::mutex> lock(mu_);
     return num_syncs_;
   }
+  /// SyncDir(dir) calls so far.
+  uint64_t dir_syncs(const std::string& dir) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = dir_syncs_.find(dir);
+    return it == dir_syncs_.end() ? 0 : it->second;
+  }
 
  private:
   friend class MemWritableFile;
@@ -93,6 +102,7 @@ class MemFileSystem : public FileSystem {
   mutable std::mutex mu_;  // guards every member below
   std::map<std::string, FileState> files_;
   std::set<std::string> dirs_;
+  std::map<std::string, uint64_t> dir_syncs_;
   uint64_t total_appended_ = 0;
   uint64_t num_syncs_ = 0;
   uint64_t enospc_after_bytes_ = std::numeric_limits<uint64_t>::max();

@@ -166,10 +166,20 @@ class ParallelTPStream {
   /// drained-wait's mutex re-acquisition orders the hand-off).
   void Reset();
 
-  /// Quiescent checkpoint: flushes (all rings drained, every worker
-  /// idle), then serializes each worker's engine in worker
-  /// order, stamped with the event-log offset (= num_events()). Single
-  /// producer only — counts as a producer call.
+  /// Quiescent checkpoint, stamped with the event-log offset
+  /// (= num_events()). The producer hands every worker its pending batch
+  /// and a checkpoint request (a flag beside the ring, never a batch, so
+  /// no backpressure policy can shed it). Each worker drains its ring,
+  /// then serializes its own engine into a Writer it owns and reuses, so
+  /// the workers serialize concurrently. The producer waits for all of
+  /// them and splices the parts in worker order:
+  ///
+  ///   Envelope | kParallel{ u32 n | worker 0 .. n-1 engine bytes }
+  ///
+  /// The bytes equal a sequential serialization of the engines. With
+  /// engine metrics on, each worker records the time it spent into
+  /// `parallel.ckpt_serialize_us`. Single producer only — counts as a
+  /// producer call.
   void Checkpoint(ckpt::Writer& w);
 
   /// Restores a checkpoint taken on a stream with the same worker count
@@ -239,6 +249,16 @@ class ParallelTPStream {
     /// producer revokes unconsumed credits once its push lands so an
     /// overload that resolves by normal draining drops nothing.
     std::atomic<int64_t> drop_credit{0};
+    /// Checkpoint request (guarded by mutex): set by the producer, served
+    /// by the worker once its ring is empty, which serializes its engine
+    /// into `ckpt` and clears the flag before it reports idle.
+    bool ckpt_requested = false;
+    /// Worker-owned checkpoint bytes of the last request; Clear() keeps
+    /// the capacity, so steady-state checkpoints do not reallocate. Read
+    /// by the producer after the drained-wait.
+    ckpt::Writer ckpt;
+    /// `parallel.ckpt_serialize_us`; null when engine metrics are off.
+    obs::LatencyHistogram* ckpt_serialize_us = nullptr;
 
     /// Producer-side batch being filled (recycled storage; only
     /// `pending.count` elements are live).
@@ -268,6 +288,8 @@ class ParallelTPStream {
   };
 
   void WorkerLoop(Worker* worker);
+  /// Worker side of Checkpoint(): serializes the engine into `ckpt`.
+  void SerializeCheckpoint(Worker* worker);
   void ProcessBatch(Worker* worker, EventBatch* batch);
   void Submit(Worker* worker);
   /// Slow path of Submit() once the first TryPush failed: applies the
@@ -282,6 +304,9 @@ class ParallelTPStream {
   Worker* RouteTo(const Event& event);
   /// Flush body without the single-producer assertion (destructor path).
   void FlushInternal();
+  /// Waits until `worker` has an empty ring, is parked and has served
+  /// any checkpoint request.
+  void WaitDrained(Worker* worker);
   /// Debug-build check that Push()/Flush() stay on one thread.
   void AssertSingleProducer() const;
 

@@ -11,6 +11,10 @@
 //     verifies freedom from data races) and must be monotone snapshots.
 //  3. Shutdown: destruction from any state — pending batches, never
 //     flushed, zero events — must deliver every match and join cleanly.
+//  4. Checkpoints under load: the workers serialize their engines while
+//     a second thread reads the stats and metrics; every checkpoint
+//     restores byte for byte, under both a lossless and a shedding
+//     backpressure policy.
 
 #include "parallel/parallel_operator.h"
 
@@ -20,15 +24,19 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <set>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/serde.h"
 #include "core/operator.h"
 #include "obs/metrics.h"
 #include "query/builder.h"
+#include "robust/dead_letter.h"
 
 namespace tpstream {
 namespace {
@@ -245,6 +253,112 @@ TEST(ConcurrencyStressTest, SkewedBackpressureWithTinyRings) {
         }
       }
     }
+  }
+}
+
+// A checkpoint every few batches while a second thread polls
+// num_matches() and Metrics(): the workers serialize concurrently with
+// those reads. Each checkpoint is restored into a fresh stream, whose own
+// checkpoint must be the same bytes. Under kDropOldest with one-slot
+// rings the workers shed batches, but never the checkpoint request (it
+// is not a batch); the alerts must equal the sequential operator's over
+// the events that were not shed (under kBlock: all of them).
+TEST(ConcurrencyStressTest, CheckpointsUnderLoadRestoreByteForByte) {
+  const QuerySpec spec = KeyedSpec();
+  const std::vector<Event> events = SkewedWorkload(12, 800, 1.0, 99);
+  constexpr size_t kPushBatch = 64;
+  constexpr size_t kCheckpointEvery = 5;  // push batches
+
+  for (const robust::BackpressurePolicy policy :
+       {robust::BackpressurePolicy::kBlock,
+        robust::BackpressurePolicy::kDropOldest}) {
+    SCOPED_TRACE(policy == robust::BackpressurePolicy::kBlock
+                     ? "kBlock"
+                     : "kDropOldest");
+    robust::CollectingDeadLetterSink dead_letter(/*capacity=*/1 << 20);
+    obs::MetricsRegistry enable;
+    parallel::ParallelTPStream::Options options;
+    options.num_workers = 4;
+    options.batch_size = 8;
+    options.ring_capacity = 1;
+    options.backpressure = policy;
+    options.dead_letter = &dead_letter;
+    options.operator_options.metrics = &enable;
+
+    Signature parallel_out;
+    std::mutex mutex;
+    int checkpoints = 0;
+    int64_t shed_events = 0;
+    {
+      parallel::ParallelTPStream op(spec, options, [&](const Event& e) {
+        std::lock_guard<std::mutex> lock(mutex);
+        parallel_out.emplace_back(e.t, e.payload[0].AsInt());
+      });
+      std::atomic<bool> done{false};
+      std::thread poller([&] {
+        int64_t last_matches = 0;
+        int64_t last_serialized = 0;
+        while (!done.load(std::memory_order_relaxed)) {
+          const int64_t m = op.num_matches();
+          EXPECT_GE(m, last_matches);
+          last_matches = m;
+          const int64_t serialized =
+              op.Metrics().histograms.at("parallel.ckpt_serialize_us").count;
+          EXPECT_GE(serialized, last_serialized);
+          last_serialized = serialized;
+          std::this_thread::yield();
+        }
+      });
+
+      parallel::ParallelTPStream::Options restored_options = options;
+      restored_options.dead_letter = nullptr;
+      size_t batches = 0;
+      for (size_t i = 0; i < events.size(); i += kPushBatch) {
+        const size_t end = std::min(events.size(), i + kPushBatch);
+        op.PushBatch(std::span<const Event>(events.data() + i, end - i));
+        if (++batches % kCheckpointEvery != 0) continue;
+        ckpt::Writer w;
+        op.Checkpoint(w);
+        ++checkpoints;
+        parallel::ParallelTPStream restored(spec, restored_options, nullptr);
+        ckpt::Reader r(w.buffer());
+        uint64_t offset = 0;
+        ASSERT_TRUE(restored.Restore(r, &offset).ok())
+            << r.status().ToString();
+        EXPECT_EQ(offset, end);
+        ckpt::Writer again;
+        restored.Checkpoint(again);
+        EXPECT_EQ(again.buffer(), w.buffer()) << "checkpoint " << checkpoints;
+      }
+      op.Flush();
+      done.store(true, std::memory_order_relaxed);
+      poller.join();
+      shed_events = op.shed_events();
+      EXPECT_EQ(op.Metrics()
+                    .histograms.at("parallel.ckpt_serialize_us")
+                    .count,
+                int64_t{4} * checkpoints);
+    }
+    EXPECT_GE(checkpoints, 20);
+    if (policy == robust::BackpressurePolicy::kBlock) {
+      EXPECT_EQ(shed_events, 0);
+    }
+
+    // The sequential reference runs over the events that were not shed
+    // (an event is identified by its tick and key).
+    std::set<std::pair<TimePoint, int64_t>> shed;
+    for (const robust::DeadLetterItem& item : dead_letter.Items()) {
+      for (const Event& e : item.events) {
+        shed.emplace(e.t, e.payload[0].AsInt());
+      }
+    }
+    EXPECT_EQ(static_cast<int64_t>(shed.size()), shed_events);
+    std::vector<Event> kept;
+    for (const Event& e : events) {
+      if (shed.count({e.t, e.payload[0].AsInt()}) == 0) kept.push_back(e);
+    }
+    std::sort(parallel_out.begin(), parallel_out.end());
+    EXPECT_EQ(parallel_out, SequentialReference(spec, kept));
   }
 }
 

@@ -5,11 +5,14 @@
 // must agree exactly — partitions are evaluated independently, so the
 // split across workers must not change what is measured. The test also
 // snapshots the parallel metrics concurrently with ingestion (the
-// merge-on-read path the TSan job exercises).
+// merge-on-read path the TSan job exercises), and checks the checkpoint
+// pause split: per-worker serialization and the RecoveryManager phases.
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,6 +21,9 @@
 #include <gtest/gtest.h>
 
 #include "core/operator.h"
+#include "log/event_log.h"
+#include "log/memfs.h"
+#include "log/recovery.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"
@@ -262,6 +268,71 @@ TEST(MetricsDifferentialTest, ParallelPartitionCountersMatchSequential) {
   // merge additively across registries).
   EXPECT_EQ(op.Metrics().gauges.at("partitioned.partitions"), 11.0);
   EXPECT_EQ(op.num_matches(), sequential.num_matches());
+}
+
+// The checkpoint pause, split by phase: every worker records the time it
+// serialized its engine into its own registry (merged on read), and the
+// RecoveryManager records serialize, log barrier and persist into its
+// registry, one sample per checkpoint each.
+TEST(MetricsDifferentialTest, CheckpointPauseIsSplitByPhase) {
+  const QuerySpec spec = KeyedSpec();
+  const std::vector<Event> events = KeyedWorkload(9, 300, 23);
+  constexpr int kWorkers = 3;
+  constexpr int kCheckpoints = 3;
+
+  obs::MetricsRegistry enable;
+  parallel::ParallelTPStream::Options options;
+  options.num_workers = kWorkers;
+  options.operator_options.metrics = &enable;
+  parallel::ParallelTPStream op(spec, options, nullptr);
+
+  log::MemFileSystem fs;
+  std::unique_ptr<log::EventLog> wal;
+  ASSERT_TRUE(log::EventLog::Open(&fs, "/wal", {}, &wal).ok());
+  obs::MetricsRegistry recovery_registry;
+  log::RecoveryManager::Options recovery_options;
+  recovery_options.metrics = &recovery_registry;
+  std::unique_ptr<log::RecoveryManager> mgr;
+  ASSERT_TRUE(log::RecoveryManager::Open(&fs, "/wal/ckpt", wal.get(),
+                                         recovery_options, &mgr)
+                  .ok());
+
+  const size_t step = events.size() / kCheckpoints;
+  for (size_t i = 0; i < events.size(); i += step) {
+    const std::span<const Event> batch(
+        events.data() + i, std::min(step, events.size() - i));
+    ASSERT_TRUE(wal->Append(batch).ok());
+    op.PushBatch(batch);
+    ASSERT_TRUE(mgr->Checkpoint(op).ok());
+  }
+
+  const obs::MetricsSnapshot merged = op.Metrics();
+  const obs::HistogramSnapshot& serialize =
+      merged.histograms.at("parallel.ckpt_serialize_us");
+  EXPECT_EQ(serialize.count, int64_t{kWorkers} * kCheckpoints);
+  EXPECT_EQ(serialize.underflow, 0u);
+
+  const obs::MetricsSnapshot recovery = recovery_registry.Snapshot();
+  for (const char* phase :
+       {"recovery.checkpoint_serialize_us", "recovery.checkpoint_barrier_us",
+        "recovery.checkpoint_persist_us"}) {
+    SCOPED_TRACE(phase);
+    const obs::HistogramSnapshot& h = recovery.histograms.at(phase);
+    EXPECT_EQ(h.count, kCheckpoints);
+    EXPECT_EQ(h.underflow, 0u);
+  }
+  // Every worker serializes inside the manager's serialize phase.
+  EXPECT_GE(
+      kWorkers * recovery.histograms.at("recovery.checkpoint_serialize_us").sum,
+      serialize.sum);
+
+  // Metrics off: no histogram is registered, and checkpoints still work.
+  parallel::ParallelTPStream quiet(spec, {}, nullptr);
+  for (const Event& e : events) quiet.Push(e);
+  ckpt::Writer w;
+  quiet.Checkpoint(w);
+  EXPECT_EQ(quiet.Metrics().histograms.count("parallel.ckpt_serialize_us"),
+            0u);
 }
 
 }  // namespace
