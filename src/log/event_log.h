@@ -203,6 +203,11 @@ class EventLog {
   Status MaybeSync();
   /// Inline fsync of the tail (kEveryRecord; no log thread).
   Status SyncTail();
+  /// Syncs the parent of dir_ the first time it is called. Every fsync
+  /// that can advance durable_offset() calls it first, so the log
+  /// directory's own name is durable before any record is reported
+  /// durable, and Open() pays no extra fsync.
+  Status SyncParentOnce();
   /// Asks the log thread to cover everything written so far. Caller
   /// holds sync_mu_.
   void RequestSyncLocked();
@@ -255,6 +260,9 @@ class EventLog {
   uint64_t durable_bytes_ = 0;
   Status sync_error_;  // sticky
   bool stop_ = false;
+  // Owned by the thread that runs the fsyncs (the producer under
+  // kEveryRecord, the log thread otherwise).
+  bool parent_synced_ = false;
   std::atomic<uint64_t> durable_offset_{0};
   // Declared last: started after, and joined before, everything it uses.
   std::thread sync_thread_;
