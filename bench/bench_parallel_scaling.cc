@@ -3,7 +3,7 @@
 // phase flips, so the sharded output path carries real traffic) and
 // match-light (rare flips, so routing + detection dominate) — and
 // reports events/sec, speedup and scaling efficiency vs the 1-worker
-// run, backpressure counters (ring_full / merge_stalls), producer-side
+// run, backpressure counters (ring_full), producer-side
 // allocations per event (must be ~0 in steady state: the recycled batch
 // ring keeps the hot path allocation-free), and the wall-clock latency
 // distribution of individual Push() calls.
@@ -121,7 +121,6 @@ struct ScalingMeasurement {
   double scaling_efficiency = 1.0;
   int64_t matches = 0;
   int64_t ring_full = 0;
-  int64_t merge_stalls = 0;
   int64_t free_ring_allocs = 0;
   int64_t producer_allocs = 0;
   double producer_allocs_per_event = 0;
@@ -185,7 +184,6 @@ ScalingMeasurement RunOnce(const QuerySpec& spec,
   const obs::MetricsSnapshot metrics = op.Metrics();
   m.matches = op.num_matches();
   m.ring_full = metrics.counters.at("parallel.ring_full");
-  m.merge_stalls = metrics.counters.at("parallel.merge_stalls");
   m.free_ring_allocs = metrics.counters.at("parallel.free_ring_allocs");
   if (delivered.load() != m.matches) {
     std::fprintf(stderr, "match delivery mismatch: %lld delivered vs %lld\n",
@@ -215,7 +213,6 @@ bool WriteRecord(
     rec.Set(name, "scaling_efficiency", m.scaling_efficiency);
     rec.Set(name, "matches", m.matches);
     rec.Set(name, "ring_full", m.ring_full);
-    rec.Set(name, "merge_stalls", m.merge_stalls);
     rec.Set(name, "free_ring_allocs", m.free_ring_allocs);
     rec.Set(name, "producer_allocs", m.producer_allocs);
     rec.Set(name, "producer_allocs_per_event", m.producer_allocs_per_event);

@@ -1,21 +1,24 @@
-// Standalone pipeline: CSV in, CSV out — with out-of-order tolerance and
-// partition-parallel execution. Demonstrates composing the io::, ooo::
-// and parallel:: extension modules around a TPStream query.
+// Standalone pipeline: CSV in, CSV out — with partition-parallel
+// execution. Demonstrates composing the io:: and parallel:: extension
+// modules around a TPStream query.
 //
 // Reads machine telemetry rows (written to a temp stringstream here to
-// stay self-contained; swap in std::ifstream for real files), repairs
-// bounded disorder, fans partitions out to worker threads, and writes
-// every detected overload incident as a CSV row.
+// stay self-contained; swap in std::ifstream for real files), fans
+// partitions out to worker threads, and writes every detected overload
+// incident as a CSV row.
+//
+// Ordering contract (ParallelTPStream::Push): timestamps must be
+// non-decreasing across the whole input and strictly increasing per
+// machine, as TPStream assumes a timestamp-ordered stream. The rows
+// below are written in that order; sort a real file by timestamp first.
 //
 //   ./build/examples/csv_pipeline
 #include <cstdio>
 #include <iostream>
 #include <mutex>
-#include <random>
 #include <sstream>
 
 #include "io/csv.h"
-#include "ooo/reorder_buffer.h"
 #include "parallel/parallel_operator.h"
 #include "query/parser.h"
 
@@ -28,29 +31,21 @@ int main() {
       Field{"queue_len", ValueType::kInt},
   });
 
-  // Produce a CSV input with mild timestamp disorder (sensor batches
-  // arriving late by up to 3 ticks).
+  // Produce a CSV input in timestamp order, one row per machine and tick.
   std::stringstream csv_input;
   {
     csv_input << "timestamp,machine,load,queue_len\n";
-    std::mt19937_64 rng(11);
-    std::vector<std::string> rows;
     for (TimePoint t = 1; t <= 600; ++t) {
       for (int m = 0; m < 4; ++m) {
         const bool overloaded = (t % 150) > 60 && (t % 150) < 130;
         const double load = overloaded ? 0.97 : 0.35;
         const int queue = (overloaded && (t % 150) > 80) ? 120 : 4;
         char row[96];
-        std::snprintf(row, sizeof(row), "%lld,%d,%.2f,%d",
+        std::snprintf(row, sizeof(row), "%lld,%d,%.2f,%d\n",
                       static_cast<long long>(t), m, load, queue);
-        rows.push_back(row);
+        csv_input << row;
       }
     }
-    // Perturb row order within small neighborhoods.
-    for (size_t i = 0; i + 12 <= rows.size(); i += 12) {
-      std::shuffle(rows.begin() + i, rows.begin() + i + 12, rng);
-    }
-    for (const std::string& row : rows) csv_input << row << "\n";
   }
 
   auto spec = query::ParseQuery(
@@ -85,25 +80,19 @@ int main() {
         writer.Write(incident);
       });
 
-  // CSV -> reorder (slack covers the shuffling) -> parallel engine.
-  ooo::ReorderBuffer reorder({/*slack=*/4});
-  auto to_engine = [&](const Event& e) { engine.Push(e); };
+  // CSV -> parallel engine.
   io::CsvEventReader reader(csv_input, schema);
-  const Status status = reader.ReadAll(
-      [&](const Event& e) { reorder.Push(e, to_engine); });
+  const Status status =
+      reader.ReadAll([&](const Event& e) { engine.Push(e); });
   if (!status.ok()) {
     std::fprintf(stderr, "read error: %s\n", status.ToString().c_str());
     return 1;
   }
-  reorder.Flush(to_engine);
   engine.Flush();
 
-  std::printf("rows read:        %lld\n",
+  std::printf("rows read: %lld\n",
               static_cast<long long>(reader.rows_read()));
-  std::printf("events reordered: %lld (dropped %lld)\n",
-              static_cast<long long>(reorder.num_reordered()),
-              static_cast<long long>(reorder.num_dropped()));
-  std::printf("incidents:        %lld across %zu machines\n\n",
+  std::printf("incidents: %lld across %zu machines\n\n",
               static_cast<long long>(engine.num_matches()),
               engine.num_partitions());
   std::printf("--- incidents.csv ---\n%s", csv_output.str().c_str());

@@ -1,16 +1,11 @@
 #include "ckpt/serde.h"
 
-#include <atomic>
 #include <utility>
 
 #include "log/crc32c.h"
 
 namespace tpstream {
 namespace ckpt {
-
-namespace {
-std::atomic<uint64_t> g_legacy_unchecksummed_reads{0};
-}  // namespace
 
 void Writer::WriteValue(const Value& v) {
   U8(static_cast<uint8_t>(v.type()));
@@ -78,28 +73,15 @@ Status VerifyAndStripChecksum(std::string_view blob,
     }
     return v;
   };
-  if (blob.size() >= kFooterSize && footer_u32(kFooterSize) == kChecksumMagic) {
-    const std::string_view body = blob.substr(0, blob.size() - kFooterSize);
-    if (log::Crc32c(body) != footer_u32(4)) {
-      return Status::ParseError(
-          "checkpoint: checksum mismatch (blob corrupted)");
-    }
-    *payload = body;
-    return Status::OK();
+  if (blob.size() < kFooterSize || footer_u32(kFooterSize) != kChecksumMagic) {
+    return Status::ParseError("checkpoint: missing checksum footer");
   }
-  // Legacy pre-integrity blob: accepted, but counted so deployments can
-  // see unchecksummed checkpoints are still in rotation.
-  g_legacy_unchecksummed_reads.fetch_add(1, std::memory_order_relaxed);
-  *payload = blob;
+  const std::string_view body = blob.substr(0, blob.size() - kFooterSize);
+  if (log::Crc32c(body) != footer_u32(4)) {
+    return Status::ParseError("checkpoint: checksum mismatch (blob corrupted)");
+  }
+  *payload = body;
   return Status::OK();
-}
-
-uint64_t LegacyUnchecksummedReads() {
-  return g_legacy_unchecksummed_reads.load(std::memory_order_relaxed);
-}
-
-void ResetLegacyUnchecksummedReads() {
-  g_legacy_unchecksummed_reads.store(0, std::memory_order_relaxed);
 }
 
 bool Reader::Need(size_t n) {

@@ -52,7 +52,8 @@ enum class Tag : uint32_t {
   kPartitioned = 11,
   // 12 is retired and never reused (the former multi-query layout; a
   // multi-query TPStreamOperator writes kOperator sections).
-  kReorderBuffer = 13,
+  // 13 is retired and never reused (the former out-of-order reorder
+  // buffer).
   kParallel = 14,
   // 15 and 16 are retired and never reused.
   /// Dirty-partition delta of a PARTITION BY TPStreamOperator
@@ -199,18 +200,10 @@ class Reader {
 
 /// Validates a blob sealed with Writer::SealChecksum and strips the
 /// footer: on success `*payload` views the bytes to hand to Reader. A
-/// present-but-mismatched checksum fails with kParseError ("checksum
-/// mismatch", deterministic — this is how bit-flips are detected before
-/// any structural parsing). A blob without a footer is a legacy
-/// unchecksummed checkpoint: it is accepted as-is (`*payload` = `blob`)
-/// and counted in LegacyUnchecksummedReads() so operators can see that
-/// pre-integrity blobs are still in rotation.
+/// blob without the footer magic, or whose checksum does not match,
+/// fails with kParseError (deterministic — this is how bit-flips are
+/// detected before any structural parsing).
 Status VerifyAndStripChecksum(std::string_view blob, std::string_view* payload);
-
-/// Process-wide count of legacy (unchecksummed) blobs accepted by
-/// VerifyAndStripChecksum since start (or the last reset). Thread-safe.
-uint64_t LegacyUnchecksummedReads();
-void ResetLegacyUnchecksummedReads();
 
 }  // namespace ckpt
 }  // namespace tpstream

@@ -171,13 +171,6 @@ Status RecoveryManager::LoadGeneration(const Entry& entry, Loaded* out) {
   std::string_view payload;
   s = ckpt::VerifyAndStripChecksum(raw, &payload);
   if (!s.ok()) return s;
-  if (payload.size() == raw.size()) {
-    // Generation files are always written sealed (this format is newer
-    // than the checksum footer), so the legacy-unchecksummed path can
-    // only mean a truncation that ate exactly the footer.
-    return Status::ParseError("checkpoint file " + entry.name +
-                              ": missing checksum footer");
-  }
   ckpt::Reader r(payload);
   const uint32_t magic = r.U32();
   const uint32_t version = r.U32();

@@ -95,8 +95,7 @@ struct RecoveryReport {
 ///   Recover(engine):     newest valid full snapshot (corrupt ones fall
 ///                        back to the previous generation)
 ///                        -> chain-validated deltas applied on top
-///                        -> log.ReplayFrom(stamped offset) under
-///                           replay mode (exactly-once dead-letter)
+///                        -> log.ReplayFrom(stamped offset)
 ///
 /// Incremental checkpoints: for engines exposing the incremental surface
 /// (TPStreamOperator), every K-th generation is a full snapshot and the
@@ -128,8 +127,8 @@ struct RecoveryReport {
 ///
 /// Checkpoint takes an Engine and Recover a Recoverable one; the
 /// incremental surface (CheckpointIncremental / RestoreIncremental /
-/// CanCheckpointIncremental / MarkCheckpointBaseline) and SetReplayMode
-/// are used when present. Single-threaded, like the surfaces it
+/// CanCheckpointIncremental / MarkCheckpointBaseline) is used when
+/// present. Single-threaded, like the surfaces it
 /// checkpoints.
 class RecoveryManager {
  public:
@@ -329,7 +328,6 @@ Result<RecoveryReport> RecoveryManager::Recover(E& engine) {
       requires(E& e, ckpt::Reader& r, uint64_t* off) {
         e.RestoreIncremental(r, off);
       };
-  constexpr bool kReplayMode = requires(E& e) { e.SetReplayMode(true); };
 
   RecoveryReport report;
   const uint64_t max_generation =
@@ -427,11 +425,9 @@ Result<RecoveryReport> RecoveryManager::Recover(E& engine) {
   }
 
   if (log_ != nullptr) {
-    if constexpr (kReplayMode) engine.SetReplayMode(true);
     Status s = log_->ReplayFrom(
         report.offset, [&engine](const Event& e) { engine.Push(e); },
         &report.replayed_events);
-    if constexpr (kReplayMode) engine.SetReplayMode(false);
     if (!s.ok()) return s;
   }
 

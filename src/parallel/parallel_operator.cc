@@ -106,7 +106,6 @@ ParallelTPStream::ParallelTPStream(QuerySpec spec, Options options,
   events_ctr_ = producer_registry_.GetCounter("parallel.events");
   batches_ctr_ = producer_registry_.GetCounter("parallel.batches");
   ring_full_ctr_ = producer_registry_.GetCounter("parallel.ring_full");
-  merge_stalls_ctr_ = producer_registry_.GetCounter("parallel.merge_stalls");
   free_alloc_ctr_ =
       producer_registry_.GetCounter("parallel.free_ring_allocs");
   shed_batches_ctr_ = producer_registry_.GetCounter("parallel.shed_batches");
@@ -391,10 +390,8 @@ void ParallelTPStream::Submit(Worker* worker) {
   worker->pending.count = 0;
   if (!worker->ring.TryPush(std::move(batch))) {
     // Ring full: apply the backpressure policy. Counted once per stalled
-    // submit (`parallel.ring_full`, with the retired single-slot
-    // hand-off's `merge_stalls` kept as an alias).
+    // submit (`parallel.ring_full`).
     ring_full_ctr_->Inc();
-    merge_stalls_ctr_->Inc();
     if (!ResolveFullRing(worker, &batch)) {
       // The batch was shed: it never entered the ring, so its storage
       // becomes the new `pending` directly (the circulation invariant is

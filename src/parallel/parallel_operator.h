@@ -319,12 +319,8 @@ class ParallelTPStream {
   obs::MetricsRegistry producer_registry_;
   obs::Counter* events_ctr_ = nullptr;
   obs::Counter* batches_ctr_ = nullptr;
-  /// Submits that found the ring full (producer spun or parked). The
-  /// retired single-slot hand-off counted these as `merge_stalls`; that
-  /// name is kept as an alias (incremented in lockstep) so existing
-  /// exporters keep working.
+  /// Submits that found the ring full (producer spun or parked).
   obs::Counter* ring_full_ctr_ = nullptr;
-  obs::Counter* merge_stalls_ctr_ = nullptr;
   /// Free-ring misses: the producer could not recycle batch storage and
   /// had to allocate fresh (never happens in steady state; see Submit).
   obs::Counter* free_alloc_ctr_ = nullptr;

@@ -96,8 +96,12 @@ Result<QuerySpec> Parser::Parse() {
     return Error("unexpected trailing input");
   }
   spec_.input_schema = schema_;
-  // Symbol names for the pattern were fixed during DEFINE.
-  if (Status s = spec_.Validate(); !s.ok()) return s;
+  // Symbol names for the pattern were fixed during DEFINE. A spec the
+  // grammar admits but Validate rejects (a zero window, an inverted
+  // duration range) is a parse error of this query text too.
+  if (Status s = spec_.Validate(); !s.ok()) {
+    return Status::ParseError(s.message());
+  }
   return std::move(spec_);
 }
 
@@ -212,7 +216,7 @@ Status Parser::ParsePattern() {
             "symbols");
       }
       if (Status s = spec_.pattern.AddRelation(a, *rel, b); !s.ok()) {
-        return s;
+        return Error(s.message());
       }
     } while (ConsumeSymbol(";"));
   } while (ConsumeKeyword("and"));
@@ -341,7 +345,10 @@ Result<Duration> Parser::ParseDuration() {
   } else {
     return Error("unknown time unit '" + unit + "'");
   }
-  return static_cast<Duration>(t.number * scale);
+  // Casting a double outside int64 is undefined behaviour.
+  const double ticks = t.number * scale;
+  if (ticks >= 9223372036854775808.0) return Error("duration out of range");
+  return static_cast<Duration>(ticks);
 }
 
 Result<ExprPtr> Parser::ParseExpr() { return ParseOr(); }

@@ -7,8 +7,6 @@ const char* DeadLetterKindName(DeadLetterKind kind) {
   switch (kind) {
     case DeadLetterKind::kCsvRow:
       return "csv_row";
-    case DeadLetterKind::kLateEvent:
-      return "late_event";
     case DeadLetterKind::kShedBatch:
       return "shed_batch";
     case DeadLetterKind::kTornLogRecord:

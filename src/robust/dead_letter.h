@@ -21,9 +21,6 @@ enum class DeadLetterKind {
   /// `detail` the parse error (with column context), `raw` the
   /// unparsed line.
   kCsvRow,
-  /// An event the ReorderBuffer could not reorder (later than the
-  /// slack allows). `events` holds the intact event.
-  kLateEvent,
   /// A batch shed by ParallelTPStream under a drop backpressure policy.
   /// `events` holds every event of the shed batch, in push order.
   kShedBatch,
@@ -49,8 +46,8 @@ struct DeadLetterItem {
   int64_t row = -1;
   /// Raw CSV line for kCsvRow; empty otherwise.
   std::string raw;
-  /// The quarantined event payload(s): one event for kLateEvent, the
-  /// whole batch for kShedBatch, empty for kCsvRow.
+  /// The quarantined event payload(s): the whole batch for kShedBatch,
+  /// empty otherwise.
   std::vector<Event> events;
 };
 

@@ -36,7 +36,6 @@
 #include "matcher/low_latency_matcher.h"
 #include "matcher/match.h"
 #include "matcher/matcher.h"
-#include "ooo/reorder_buffer.h"
 #include "optimizer/plan_optimizer.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"

@@ -9,8 +9,8 @@
 //    under overload, quarantine every shed batch exactly once, and leave
 //    partitions untouched by shedding byte-identical to the sequential
 //    engine — including after the burst subsides (recovery);
-//  * malformed CSV rows and late events route to the dead-letter sink
-//    with full context instead of killing the stream;
+//  * malformed CSV rows route to the dead-letter sink with full context
+//    instead of killing the stream;
 //  * allocation failure inside the quarantine path is contained.
 //
 // The bounded-memory proofs use the counting allocator of
@@ -37,7 +37,6 @@
 #include "io/csv.h"
 #include "matcher/low_latency_matcher.h"
 #include "obs/metrics.h"
-#include "ooo/reorder_buffer.h"
 #include "parallel/parallel_operator.h"
 #include "query/builder.h"
 #include "robust/dead_letter.h"
@@ -49,7 +48,6 @@ namespace {
 
 using testing::FloodWorkload;
 using testing::HighWaterBytes;
-using testing::MakeLateBursts;
 using testing::MalformedCsv;
 using testing::ResetHighWater;
 using testing::ScopedAllocFailure;
@@ -548,54 +546,6 @@ TEST(ChaosTest, CsvHeaderErrorsAreFatalEvenWhenSkipping) {
 }
 
 // ---------------------------------------------------------------------------
-// Late-event bursts
-// ---------------------------------------------------------------------------
-
-TEST(ChaosTest, LateBurstsRouteToDeadLetterIntact) {
-  const Duration kSlack = 10;
-  const auto workload = MakeLateBursts(/*seed=*/5150, /*count=*/400, kSlack,
-                                       /*bursts=*/5, /*burst_len=*/4);
-  ASSERT_FALSE(workload.late_timestamps.empty());
-
-  robust::CollectingDeadLetterSink sink(1 << 16);
-  ooo::ReorderBuffer::Options options;
-  options.slack = kSlack;
-  options.dead_letter = &sink;
-  ooo::ReorderBuffer reorder(options);
-
-  std::vector<TimePoint> released;
-  std::vector<TimePoint> late_seen;
-  reorder.SetLateCallback([&](const Event& e) {
-    // Regression (move-path): the callback must observe the intact
-    // event, payload included, before any quarantine move.
-    ASSERT_EQ(e.payload.size(), 1u);
-    EXPECT_TRUE(e.payload[0].AsBool());
-    late_seen.push_back(e.t);
-  });
-  auto sink_fn = [&](const Event& e) { released.push_back(e.t); };
-  for (const Event& e : workload.events) reorder.Push(Event(e), sink_fn);
-  reorder.Flush(sink_fn);
-
-  // In-order delivery survived the bursts.
-  EXPECT_TRUE(std::is_sorted(released.begin(), released.end()));
-  // Every late event fired the callback AND reached the sink intact —
-  // exactly once, with a lateness description.
-  EXPECT_EQ(reorder.num_dropped(),
-            static_cast<int64_t>(workload.late_timestamps.size()));
-  const auto items = sink.Items();
-  ASSERT_EQ(items.size(), workload.late_timestamps.size());
-  ASSERT_EQ(late_seen.size(), workload.late_timestamps.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(items[i].kind, robust::DeadLetterKind::kLateEvent);
-    ASSERT_EQ(items[i].events.size(), 1u);
-    EXPECT_EQ(items[i].events[0].t, late_seen[i]);
-    ASSERT_EQ(items[i].events[0].payload.size(), 1u);
-    EXPECT_TRUE(items[i].events[0].payload[0].AsBool());
-    EXPECT_FALSE(items[i].detail.empty());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Allocation failure containment
 // ---------------------------------------------------------------------------
 
@@ -606,7 +556,7 @@ TEST(ChaosTest, LateBurstsRouteToDeadLetterIntact) {
 TEST(ChaosTest, AllocationFailureInQuarantinePathIsContained) {
   robust::CollectingDeadLetterSink sink(16);
   robust::DeadLetterItem item;
-  item.kind = robust::DeadLetterKind::kLateEvent;
+  item.kind = robust::DeadLetterKind::kShedBatch;
 
   EXPECT_THROW(
       {

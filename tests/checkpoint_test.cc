@@ -18,7 +18,6 @@
 #include "ckpt/serde.h"
 #include "core/operator.h"
 #include "matcher/stats.h"
-#include "ooo/reorder_buffer.h"
 #include "query/builder.h"
 
 namespace tpstream {
@@ -259,63 +258,6 @@ TEST(CkptComponents, MatcherStatsRoundTripBitExact) {
   MatcherStats wrong(single.value().pattern, 0.25);
   ckpt::Reader r2(w.buffer());
   EXPECT_FALSE(wrong.Restore(r2).ok());
-}
-
-TEST(CkptComponents, ReorderBufferRoundTripPreservesReleaseOrder) {
-  ooo::ReorderBuffer::Options options;
-  options.slack = 50;
-  ooo::ReorderBuffer original(options);
-
-  std::vector<Event> sink_a;
-  const auto sink = [&](const Event& e) { sink_a.push_back(e); };
-  // Buffer several events, including an equal-timestamp tie, without
-  // releasing any (all within slack).
-  original.Push(Event({Value(int64_t{1})}, 30), sink);
-  original.Push(Event({Value(int64_t{2})}, 10), sink);
-  original.Push(Event({Value(int64_t{3})}, 10), sink);  // tie on t=10
-  original.Push(Event({Value(int64_t{4})}, 20), sink);
-  ASSERT_TRUE(sink_a.empty());
-
-  ckpt::Writer w;
-  original.Checkpoint(w);
-
-  ooo::ReorderBuffer restored(options);
-  ckpt::Reader r(w.buffer());
-  ASSERT_TRUE(restored.Restore(r).ok());
-  EXPECT_EQ(restored.buffered(), original.buffered());
-  EXPECT_EQ(restored.watermark(), original.watermark());
-
-  // Draining both must produce identical streams — including the order
-  // of the equal-timestamp pair, which only holds because the heap array
-  // is serialized verbatim.
-  std::vector<Event> sink_b;
-  original.Flush(sink);
-  restored.Flush([&](const Event& e) { sink_b.push_back(e); });
-  ASSERT_EQ(sink_a.size(), sink_b.size());
-  for (size_t i = 0; i < sink_a.size(); ++i) {
-    EXPECT_EQ(sink_a[i].t, sink_b[i].t);
-    EXPECT_EQ(sink_a[i].payload, sink_b[i].payload);
-  }
-}
-
-TEST(CkptComponents, ReorderBufferRejectsNonHeapArray) {
-  // Hand-craft a checkpoint whose event array violates the min-heap
-  // invariant; Restore must reject it rather than release out of order.
-  ckpt::Writer w;
-  const size_t cookie = w.BeginSection(ckpt::Tag::kReorderBuffer);
-  w.U64(2);  // two buffered events
-  w.WriteEvent(Event({}, 50));
-  w.WriteEvent(Event({}, 10));  // child earlier than parent: not a heap
-  w.I64(50);       // max_seen
-  w.I64(kTimeMin); // last_released
-  w.I64(0);        // watermark
-  w.I64(0);        // num_reordered
-  w.I64(0);        // num_dropped
-  w.EndSection(cookie);
-
-  ooo::ReorderBuffer buffer({});
-  ckpt::Reader r(w.buffer());
-  EXPECT_FALSE(buffer.Restore(r).ok());
 }
 
 TEST(CkptComponents, OperatorRoundTripAndByteDeterminism) {

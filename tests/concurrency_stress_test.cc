@@ -204,9 +204,9 @@ TEST(ConcurrencyStressTest, StatsGettersAreSafeDuringIngestion) {
 // into its backpressure path (ring_full -> spin -> park) and drive the
 // ring indices around the 2^k wrap many times. Results must still match
 // the sequential reference exactly, and the ring metrics must be
-// coherent: `parallel.ring_full` counts stalled submits with
-// `parallel.merge_stalls` as its legacy alias, and the occupancy gauges
-// read zero once Flush() has drained everything.
+// coherent: `parallel.ring_full` counts each stalled submit at most
+// once, free-ring misses stay rare, and the occupancy gauges read zero
+// once Flush() has drained everything.
 TEST(ConcurrencyStressTest, SkewedBackpressureWithTinyRings) {
   const QuerySpec spec = KeyedSpec();
   for (const size_t ring_capacity : {size_t{1}, size_t{2}}) {
@@ -239,9 +239,8 @@ TEST(ConcurrencyStressTest, SkewedBackpressureWithTinyRings) {
       std::sort(parallel_out.begin(), parallel_out.end());
       EXPECT_EQ(parallel_out, expected);
 
-      // Alias contract: the retired merge_stalls name tracks ring_full.
-      EXPECT_EQ(metrics.counters.at("parallel.ring_full"),
-                metrics.counters.at("parallel.merge_stalls"));
+      EXPECT_LE(metrics.counters.at("parallel.ring_full"),
+                metrics.counters.at("parallel.batches"));
       // Recycling keeps the steady state allocation-free: the free ring
       // only misses in pathological visibility races, never sustainably.
       EXPECT_LE(metrics.counters.at("parallel.free_ring_allocs"),

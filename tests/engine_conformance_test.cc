@@ -20,7 +20,15 @@
 //  * Reset — after a stream or after a restore — returns the exact state
 //    of a fresh instance (adaptive statistics and evaluation order
 //    included, since both are checkpointed);
-//  * the checkpoint of a fresh instance restores into a fresh instance.
+//  * the checkpoint of a fresh instance restores into a fresh instance;
+//  * kill and recover (Durability contract): an engine killed right after
+//    a checkpoint at any offset, restored into a fresh instance and
+//    replayed from the stamped offset equals the uninterrupted run —
+//    matches, counters and final checkpoint bytes — and so does one
+//    recovered by RecoveryManager from a durable log after a clean crash,
+//    a crash that tears the unsynced log tail, and a corrupted newest
+//    checkpoint. The operator's option variants (baseline matcher, fixed
+//    evaluation order, overload caps) run the same kill-at-offset helper.
 //
 // Matches are compared as rendered strings ("t|payload..."), in emission
 // order where the surface is sequential and sorted for the parallel one,
@@ -30,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -40,6 +49,8 @@
 
 #include "ckpt/serde.h"
 #include "core/operator.h"
+#include "log/event_log.h"
+#include "log/memfs.h"
 #include "log/recovery.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_operator.h"
@@ -204,6 +215,177 @@ struct QueryGroupSurface : MultiQueryRow<false> {};
 /// PARTITION BY: that section per key inside kPartitioned.
 struct PartitionedMultiQuerySurface : MultiQueryRow<true> {};
 
+// --- helpers shared by the cases -------------------------------------------
+
+template <typename Engine>
+std::string Snapshot(Engine& e) {
+  ckpt::Writer w;
+  e.Checkpoint(w);
+  return w.Take();
+}
+
+/// The logical counters a recovered engine must carry over; the rest of
+/// its state (buffers, statistics, evaluation order, dedup table) is
+/// compared through the final checkpoint bytes.
+std::vector<int64_t> Counters(const TPStreamOperator& e) {
+  std::vector<int64_t> counters = {
+      e.num_events(), e.num_matches(),
+      static_cast<int64_t>(e.num_partitions()), e.shed_situations(),
+      e.lost_match_upper_bound(), e.shed_trigger_candidates()};
+  for (int q = 0; q < e.num_queries(); ++q) {
+    counters.push_back(e.num_matches(q));
+  }
+  return counters;
+}
+std::vector<int64_t> Counters(const parallel::ParallelTPStream& e) {
+  return {e.num_events(), e.num_matches(),
+          static_cast<int64_t>(e.num_partitions())};
+}
+
+constexpr size_t kKillOffsets[] = {1, 133, 257, 399};
+
+/// Kill-at-offset differential. `make(Collector*)` builds a fresh engine
+/// (the same construction for every incarnation). For each kill offset a
+/// first incarnation runs the stream up to it, checkpoints and dies; a
+/// second one restores the checkpoint and replays from the stamped
+/// offset. The matches of both incarnations, the counters and the final
+/// checkpoint bytes must equal those of the uninterrupted run.
+template <typename MakeFn>
+void RunOperatorDifferential(MakeFn make, bool ordered,
+                             const std::vector<Event>& events) {
+  Collector collector;
+  const auto take = [&] {
+    std::vector<std::string> lines = collector.Take();
+    if (!ordered) std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  auto ref = make(&collector);
+  for (const Event& e : events) ref->Push(e);
+  ref->Flush();
+  const std::vector<std::string> ref_outputs = take();
+  const std::vector<int64_t> ref_counters = Counters(*ref);
+  const std::string ref_final = Snapshot(*ref);
+  ASSERT_FALSE(ref_outputs.empty()) << "workload produced no matches";
+
+  for (const size_t kill : kKillOffsets) {
+    SCOPED_TRACE("kill@" + std::to_string(kill));
+    ASSERT_LT(kill, events.size());
+    std::string blob;
+    {
+      auto first = make(&collector);
+      for (size_t i = 0; i < kill; ++i) first->Push(events[i]);
+      blob = Snapshot(*first);  // quiescent: a parallel engine drains
+    }
+    auto second = make(&collector);
+    ckpt::Reader r(blob);
+    uint64_t offset = 0;
+    ASSERT_TRUE(second->Restore(r, &offset).ok()) << r.status().ToString();
+    ASSERT_EQ(offset, kill);
+    for (size_t i = offset; i < events.size(); ++i) second->Push(events[i]);
+    second->Flush();
+    EXPECT_EQ(take(), ref_outputs);
+    EXPECT_EQ(Counters(*second), ref_counters);
+    EXPECT_EQ(Snapshot(*second), ref_final) << "recovered state diverged";
+  }
+}
+
+enum class CrashMode {
+  kClean,          // log synced per record: nothing lost
+  kTornTail,       // unsynced log tail wiped by the crash
+  kCorruptNewest,  // newest checkpoint file bit-flipped after the crash
+};
+
+/// Crash-recovery differential through log::RecoveryManager on a
+/// MemFileSystem. For each kill offset an engine feeds a durable log,
+/// checkpoints at a quarter and at half of the offset (so recovery
+/// restores and replays, deltas chain on PARTITION BY queries, and a
+/// corrupted newest checkpoint has an older generation to fall back to)
+/// and crashes. A fresh engine recovers with one Recover() call, the
+/// source re-sends from the log's end, and the final checkpoint bytes
+/// must equal those of the uninterrupted run.
+template <typename MakeFn>
+void RunRecoveryDifferential(MakeFn make, const std::vector<Event>& events,
+                             CrashMode mode) {
+  constexpr char kLogDir[] = "/wal";
+  constexpr char kCkptDir[] = "/wal/ckpt";
+  Collector collector;  // matches are compared by RunOperatorDifferential
+  std::string ref_final;
+  {
+    auto ref = make(&collector);
+    for (const Event& e : events) ref->Push(e);
+    ref->Flush();
+    ref_final = Snapshot(*ref);
+  }
+
+  log::EventLogOptions log_options;
+  if (mode == CrashMode::kTornTail) {
+    log_options.sync.mode = log::SyncMode::kEveryBytes;
+    log_options.sync.sync_bytes = 1 << 20;  // the crash loses the tail
+  }
+  log::RecoveryManager::Options mgr_options;
+  mgr_options.full_snapshot_interval = 2;  // every other one is a delta
+  const auto open = [&](log::FileSystem* fs,
+                        std::unique_ptr<log::EventLog>* log,
+                        std::unique_ptr<log::RecoveryManager>* mgr) {
+    Status s = log::EventLog::Open(fs, kLogDir, log_options, log);
+    if (s.ok()) {
+      s = log::RecoveryManager::Open(fs, kCkptDir, log->get(), mgr_options,
+                                     mgr);
+    }
+    return s;
+  };
+  const auto feed = [](log::EventLog& log, auto& engine, const Event& e) {
+    auto r = log.Append(std::span<const Event>(&e, 1));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    engine.Push(e);
+  };
+
+  for (const size_t kill : kKillOffsets) {
+    SCOPED_TRACE("kill@" + std::to_string(kill) +
+                 " mode=" + std::to_string(static_cast<int>(mode)));
+    log::MemFileSystem fs;
+    {
+      std::unique_ptr<log::EventLog> log;
+      std::unique_ptr<log::RecoveryManager> mgr;
+      ASSERT_TRUE(open(&fs, &log, &mgr).ok());
+      auto first = make(&collector);
+      for (size_t i = 0; i < kill; ++i) {
+        feed(*log, *first, events[i]);
+        if (kill >= 4 && (i + 1 == kill / 2 || i + 1 == kill / 4)) {
+          auto info = mgr->Checkpoint(*first);
+          ASSERT_TRUE(info.ok()) << info.status().ToString();
+        }
+      }
+    }
+    if (mode == CrashMode::kTornTail) fs.SimulateCrash();
+    if (mode == CrashMode::kCorruptNewest) {
+      std::vector<std::string> names;
+      ASSERT_TRUE(fs.ListDir(kCkptDir, &names).ok());
+      std::sort(names.begin(), names.end());
+      if (!names.empty()) {
+        const std::string path = std::string(kCkptDir) + "/" + names.back();
+        fs.CorruptByte(path, fs.FileSize(path) / 2, 0x10);
+      }
+    }
+
+    std::unique_ptr<log::EventLog> log;
+    std::unique_ptr<log::RecoveryManager> mgr;
+    ASSERT_TRUE(open(&fs, &log, &mgr).ok());
+    auto second = make(&collector);
+    auto report = mgr->Recover(*second);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    if (mode == CrashMode::kClean) {
+      ASSERT_EQ(log->end_offset(), kill);  // synced per record
+    }
+    // The source re-sends from the log's end (at-least-once upstream).
+    for (size_t i = log->end_offset(); i < events.size(); ++i) {
+      feed(*log, *second, events[i]);
+    }
+    second->Flush();
+    EXPECT_EQ(Snapshot(*second), ref_final) << "recovered state diverged";
+  }
+}
+
 template <typename Surface>
 class EngineConformance : public ::testing::Test {
  protected:
@@ -231,12 +413,6 @@ class EngineConformance : public ::testing::Test {
     std::vector<std::string> lines = collector_.Take();
     if (!Surface::kOrdered) std::sort(lines.begin(), lines.end());
     return lines;
-  }
-
-  static std::string Snapshot(Engine& e) {
-    ckpt::Writer w;
-    e.Checkpoint(w);
-    return w.Take();
   }
 
   static Status RestoreFrom(Engine& e, const std::string& blob,
@@ -288,7 +464,7 @@ TYPED_TEST(EngineConformance, FlushOnEmptyStreamIsANoOp) {
   this->PushRange(*e, 0, this->events_.size());
   this->Drain(*e);
   EXPECT_EQ(this->Outputs(), this->ref_outputs_);
-  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+  EXPECT_EQ(Snapshot(*e), this->ref_final_);
 }
 
 TYPED_TEST(EngineConformance, DoubleFlushIsIdempotent) {
@@ -298,12 +474,12 @@ TYPED_TEST(EngineConformance, DoubleFlushIsIdempotent) {
   e->Flush();
   obs::MetricsSnapshot metrics = TypeParam::Metrics(*e, registry);
   EXPECT_FALSE(metrics.gauges.empty()) << "Flush published no gauges";
-  const std::string once = this->Snapshot(*e);
+  const std::string once = Snapshot(*e);
   const std::vector<std::string> outputs = this->Outputs();
 
   e->Flush();
   EXPECT_TRUE(this->Outputs().empty());
-  EXPECT_EQ(this->Snapshot(*e), once);
+  EXPECT_EQ(Snapshot(*e), once);
   EXPECT_EQ(outputs, this->ref_outputs_);
   obs::MetricsSnapshot again = TypeParam::Metrics(*e, registry);
   // The two checkpoints leave every metric as it was, except that a
@@ -330,7 +506,7 @@ TYPED_TEST(EngineConformance, PushAfterFlushContinuesTheStream) {
   this->PushRange(*e, half, this->events_.size());
   this->Drain(*e);
   EXPECT_EQ(this->Concat(first, this->Outputs()), this->ref_outputs_);
-  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+  EXPECT_EQ(Snapshot(*e), this->ref_final_);
 }
 
 // --- Batched ingestion ------------------------------------------------------
@@ -353,7 +529,7 @@ TYPED_TEST(EngineConformance, PushBatchEqualsPerEventPush) {
       }
       this->Drain(*e);
       EXPECT_EQ(this->Outputs(), this->ref_outputs_);
-      EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+      EXPECT_EQ(Snapshot(*e), this->ref_final_);
     }
   }
 }
@@ -372,7 +548,7 @@ TYPED_TEST(EngineConformance, RestoreIntoFreshInstanceResumesTheStream) {
   this->PushRange(*e, offset, this->events_.size());
   this->Drain(*e);
   EXPECT_EQ(this->Concat(prefix, this->Outputs()), this->ref_outputs_);
-  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+  EXPECT_EQ(Snapshot(*e), this->ref_final_);
 }
 
 TYPED_TEST(EngineConformance, RestoreIntoUsedInstanceOverwritesIt) {
@@ -393,7 +569,7 @@ TYPED_TEST(EngineConformance, RestoreIntoUsedInstanceOverwritesIt) {
   this->PushRange(*e, offset, this->events_.size());
   this->Drain(*e);
   EXPECT_EQ(this->Concat(prefix, this->Outputs()), this->ref_outputs_);
-  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+  EXPECT_EQ(Snapshot(*e), this->ref_final_);
 }
 
 TYPED_TEST(EngineConformance, DoubleRestoreReCheckpointsByteIdentically) {
@@ -403,14 +579,14 @@ TYPED_TEST(EngineConformance, DoubleRestoreReCheckpointsByteIdentically) {
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(this->RestoreFrom(*e, blob).ok()) << "restore " << i;
   }
-  EXPECT_EQ(this->Snapshot(*e), blob);
+  EXPECT_EQ(Snapshot(*e), blob);
 }
 
 // --- Reset ------------------------------------------------------------------
 
 TYPED_TEST(EngineConformance, ResetAfterStreamMatchesFreshInstance) {
   auto fresh = this->Make();
-  const std::string fresh_blob = this->Snapshot(*fresh);
+  const std::string fresh_blob = Snapshot(*fresh);
 
   // A full stream moves the adaptive state (matcher statistics, the
   // controller's evaluation order) away from the initial plan; Reset must
@@ -420,24 +596,24 @@ TYPED_TEST(EngineConformance, ResetAfterStreamMatchesFreshInstance) {
   this->Drain(*e);
   this->Outputs();
   e->Reset();
-  EXPECT_EQ(this->Snapshot(*e), fresh_blob);
+  EXPECT_EQ(Snapshot(*e), fresh_blob);
 
   this->PushRange(*e, 0, this->events_.size());
   this->Drain(*e);
   EXPECT_EQ(this->Outputs(), this->ref_outputs_);
-  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+  EXPECT_EQ(Snapshot(*e), this->ref_final_);
 }
 
 TYPED_TEST(EngineConformance, RestoreThenResetMatchesFreshInstance) {
   std::vector<std::string> prefix;
   const std::string blob = this->HalfwayBlob(&prefix);
   auto fresh = this->Make();
-  const std::string fresh_blob = this->Snapshot(*fresh);
+  const std::string fresh_blob = Snapshot(*fresh);
 
   auto e = this->Make();
   ASSERT_TRUE(this->RestoreFrom(*e, blob).ok());
   e->Reset();
-  EXPECT_EQ(this->Snapshot(*e), fresh_blob);
+  EXPECT_EQ(Snapshot(*e), fresh_blob);
 
   // Replaying from the start re-emits every match (the exactly-once
   // fingerprints were rewound too).
@@ -450,7 +626,7 @@ TYPED_TEST(EngineConformance, RestoreThenResetMatchesFreshInstance) {
 
 TYPED_TEST(EngineConformance, FreshCheckpointRestoresIntoFreshInstance) {
   auto source = this->Make();
-  const std::string blob = this->Snapshot(*source);
+  const std::string blob = Snapshot(*source);
 
   auto e = this->Make();
   uint64_t offset = 1;
@@ -459,8 +635,87 @@ TYPED_TEST(EngineConformance, FreshCheckpointRestoresIntoFreshInstance) {
   this->PushRange(*e, 0, this->events_.size());
   this->Drain(*e);
   EXPECT_EQ(this->Outputs(), this->ref_outputs_);
-  EXPECT_EQ(this->Snapshot(*e), this->ref_final_);
+  EXPECT_EQ(Snapshot(*e), this->ref_final_);
 }
+
+// --- Kill and recover -------------------------------------------------------
+
+template <typename Surface>
+auto MakeFn() {
+  return [](Collector* out) { return Surface::Make(out, nullptr); };
+}
+
+TYPED_TEST(EngineConformance, KillRestoreReplayEqualsUninterruptedRun) {
+  RunOperatorDifferential(MakeFn<TypeParam>(), TypeParam::kOrdered,
+                          this->events_);
+}
+
+TYPED_TEST(EngineConformance, RecoversFromCleanCrash) {
+  RunRecoveryDifferential(MakeFn<TypeParam>(), this->events_,
+                          CrashMode::kClean);
+}
+
+TYPED_TEST(EngineConformance, RecoversFromTornLogTail) {
+  RunRecoveryDifferential(MakeFn<TypeParam>(), this->events_,
+                          CrashMode::kTornTail);
+}
+
+TYPED_TEST(EngineConformance, RecoversFromCorruptNewestCheckpoint) {
+  RunRecoveryDifferential(MakeFn<TypeParam>(), this->events_,
+                          CrashMode::kCorruptNewest);
+}
+
+/// Operator options that change what a checkpoint holds, run through the
+/// kill-at-offset helper on the unpartitioned query.
+struct OptionVariant {
+  const char* name;
+  TPStreamOperator::Options options;
+};
+
+void PrintTo(const OptionVariant& v, std::ostream* os) { *os << v.name; }
+
+OptionVariant BaselineMatcher() {
+  OptionVariant v{"BaselineMatcher", {}};
+  v.options.low_latency = false;
+  return v;
+}
+OptionVariant FixedOrder() {
+  OptionVariant v{"FixedOrder", {}};
+  v.options.fixed_order = std::vector<int>{1, 0};
+  return v;
+}
+/// Caps small enough that eviction fires constantly: the shed accounting
+/// and the capped buffers must survive kill and recovery too.
+OptionVariant Overloaded() {
+  OptionVariant v{"Overloaded", {}};
+  v.options.overload.max_situations_per_buffer = 3;
+  v.options.overload.max_trigger_pool = 2;
+  return v;
+}
+
+class OperatorOptionsDifferential
+    : public ::testing::TestWithParam<OptionVariant> {};
+
+TEST_P(OperatorOptionsDifferential, KillRestoreReplayEqualsUninterruptedRun) {
+  const TPStreamOperator::Options options = GetParam().options;
+  const std::vector<Event> events = Stream(600, 1, /*seed=*/3);
+  const auto make = [&](Collector* out) {
+    return std::make_unique<TPStreamOperator>(OverlapSpec(false), options,
+                                              out->Callback());
+  };
+  if (options.overload.max_situations_per_buffer > 0) {
+    Collector unused;
+    auto op = make(&unused);
+    for (const Event& e : events) op->Push(e);
+    ASSERT_GT(op->shed_situations(), 0) << "the caps never evicted";
+  }
+  RunOperatorDifferential(make, /*ordered=*/true, events);
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, OperatorOptionsDifferential,
+                         ::testing::Values(BaselineMatcher(), FixedOrder(),
+                                           Overloaded()),
+                         [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace tpstream

@@ -8,7 +8,6 @@
 //
 // Faults covered:
 //  * malformed CSV rows interleaved into well-formed input (MalformedCsv)
-//  * late-event bursts beyond a reorder slack (LateBurstWorkload)
 //  * open-situation floods that grow matcher state (FloodWorkload)
 //  * stalled consumers (StallingSink)
 //  * allocation failures at a chosen point (ScopedAllocFailure; honored
@@ -20,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <random>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -86,49 +84,6 @@ inline MalformedCsvInput MalformedCsv(uint64_t seed, int rows,
       out.text += std::to_string(t) + "," + std::to_string(key) + "," +
                   (rng() % 2 == 0 ? "true" : "false") + "\n";
       out.good_timestamps.push_back(t);
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Late bursts
-// ---------------------------------------------------------------------------
-
-struct LateBurstWorkload {
-  /// Events in arrival order (mostly in-order, with seeded bursts of
-  /// events older than `slack` allows).
-  std::vector<Event> events;
-  /// Timestamps guaranteed to be dropped by a ReorderBuffer with the
-  /// given slack (strictly older than an already-released event).
-  std::vector<TimePoint> late_timestamps;
-};
-
-/// In-order stream of `count` single-field events at t = 1..count, with
-/// `bursts` injected groups of `burst_len` events whose timestamps lie
-/// `slack + margin` behind the current front — unconditionally late.
-inline LateBurstWorkload MakeLateBursts(uint64_t seed, int count,
-                                        Duration slack, int bursts,
-                                        int burst_len) {
-  std::mt19937_64 rng(seed);
-  LateBurstWorkload out;
-  std::set<int> burst_at;
-  // Burst positions far enough in that the watermark has advanced.
-  while (static_cast<int>(burst_at.size()) < bursts) {
-    burst_at.insert(static_cast<int>(slack) + 2 + burst_len +
-                    static_cast<int>(rng() % count));
-  }
-  for (int t = 1; t <= count; ++t) {
-    out.events.push_back(Event({Value(true)}, t));
-    if (burst_at.count(t) != 0) {
-      for (int b = 0; b < burst_len; ++b) {
-        // Older than (t - slack), i.e. beyond the slack for sure, and
-        // older than the released front.
-        const TimePoint late_t = t - slack - 2 - b;
-        if (late_t < 1) break;
-        out.events.push_back(Event({Value(true)}, late_t));
-        out.late_timestamps.push_back(late_t);
-      }
     }
   }
   return out;

@@ -203,6 +203,36 @@ TEST(ParserTest, ReportsErrors) {
                    .ok());
 }
 
+// Found by parser_fuzz_test: a query the grammar admits but the pattern
+// or Validate rejects used to leak kInvalidArgument out of ParseQuery,
+// and a duration beyond int64 ticks was cast with undefined behaviour.
+// Every rejection is a kParseError.
+TEST(ParserTest, SemanticRejectionsAreParseErrors) {
+  const Schema schema({Field{"x", ValueType::kInt}});
+  for (const char* text : {
+           // A symbol related to itself.
+           "FROM S DEFINE A AS x > 1, B AS x < 0 "
+           "PATTERN A before A AND A meets B WITHIN 10",
+           // Zero window.
+           "FROM S DEFINE A AS x > 1, B AS x < 0 PATTERN A before B WITHIN 0",
+           // Inverted and empty duration ranges.
+           "FROM S DEFINE A AS x > 1 BETWEEN 461s AND 8, B AS x < 0 "
+           "PATTERN A before B WITHIN 10",
+           "FROM S DEFINE A AS x > 1 AT LEAST 0s, B AS x < 0 "
+           "PATTERN A before B WITHIN 10",
+           // Windows and durations beyond int64 ticks.
+           "FROM S DEFINE A AS x > 1, B AS x < 0 "
+           "PATTERN A before B WITHIN 99999999999999999999 h",
+           "FROM S DEFINE A AS x > 1 AT MOST 9223372036854775807 hours, "
+           "B AS x < 0 PATTERN A before B WITHIN 10",
+       }) {
+    const auto spec = query::ParseQuery(text, schema);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_EQ(spec.status().code(), StatusCode::kParseError)
+        << text << ": " << spec.status().ToString();
+  }
+}
+
 TEST(ParserTest, IntervalAccessorsInReturn) {
   const Schema schema({Field{"x", ValueType::kInt}});
   auto spec = query::ParseQuery(

@@ -609,55 +609,27 @@ TEST(CheckpointChecksum, SealedBlobRoundtripsAndDetectsFlips) {
   ASSERT_TRUE(ckpt::VerifyAndStripChecksum(blob, &payload).ok());
   EXPECT_EQ(payload.size(), blob.size() - 8);
 
-  // Any flip in the sealed body or the CRC field is a deterministic
-  // checksum mismatch. A flip inside the footer *magic* is the one spot
-  // auto-detection cannot tell from a legacy (unchecksummed) blob — it
-  // downgrades to the legacy path instead of failing.
+  // Any flip, footer magic included, fails: a damaged magic reads as a
+  // missing footer, a flip anywhere else as a checksum mismatch.
   for (size_t i = 0; i < blob.size(); ++i) {
     std::string bad = blob;
     bad[i] ^= 0x04;
     Status s = ckpt::VerifyAndStripChecksum(bad, &payload);
     const bool in_footer_magic =
         i >= blob.size() - 8 && i < blob.size() - 4;
-    if (in_footer_magic) {
-      EXPECT_TRUE(s.ok()) << "flip at byte " << i;
-      EXPECT_EQ(payload, std::string_view(bad));  // treated as legacy
-    } else {
-      EXPECT_FALSE(s.ok()) << "flip at byte " << i;
-      EXPECT_EQ(s.code(), StatusCode::kParseError);
-      EXPECT_NE(s.message().find("checksum mismatch"), std::string::npos);
-    }
+    EXPECT_FALSE(s.ok()) << "flip at byte " << i;
+    EXPECT_EQ(s.code(), StatusCode::kParseError);
+    EXPECT_NE(s.message().find(in_footer_magic ? "missing checksum footer"
+                                               : "checksum mismatch"),
+              std::string::npos)
+        << "flip at byte " << i << ": " << s.message();
   }
-  ckpt::ResetLegacyUnchecksummedReads();
-}
 
-TEST(CheckpointChecksum, LegacyUnchecksummedBlobsStillReadableAndCounted) {
-  const QuerySpec spec = SensorSpec();
-  TPStreamOperator source(spec, {}, nullptr);
-  for (const Event& e : MakeStream(80, 29)) source.Push(e);
-  ckpt::Writer w;
-  source.Checkpoint(w);  // component checkpoint: never sealed
-  const std::string legacy = w.buffer();
-
-  ckpt::ResetLegacyUnchecksummedReads();
-  std::string_view payload;
-  ASSERT_TRUE(ckpt::VerifyAndStripChecksum(legacy, &payload).ok());
-  EXPECT_EQ(payload, std::string_view(legacy));  // accepted verbatim
-  EXPECT_EQ(ckpt::LegacyUnchecksummedReads(), 1u);
-
-  // The legacy bytes restore exactly as before the footer existed.
-  TPStreamOperator restored(spec, {}, nullptr);
-  ckpt::Reader r(payload);
-  ASSERT_TRUE(restored.Restore(r).ok());
-  EXPECT_EQ(restored.num_events(), source.num_events());
-
-  // Sealed blobs do not touch the legacy counter.
-  ckpt::Writer sealed;
-  source.Checkpoint(sealed);
-  sealed.SealChecksum();
-  ASSERT_TRUE(ckpt::VerifyAndStripChecksum(sealed.buffer(), &payload).ok());
-  EXPECT_EQ(ckpt::LegacyUnchecksummedReads(), 1u);
-  ckpt::ResetLegacyUnchecksummedReads();
+  // An unsealed blob has no footer and is rejected.
+  const std::string unsealed = blob.substr(0, blob.size() - 8);
+  Status s = ckpt::VerifyAndStripChecksum(unsealed, &payload);
+  EXPECT_EQ(s.code(), StatusCode::kParseError);
+  EXPECT_NE(s.message().find("missing checksum footer"), std::string::npos);
 }
 
 // --- directory fsync ------------------------------------------------------
